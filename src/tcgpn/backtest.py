@@ -95,9 +95,10 @@ def _next_date(sorted_dates: list[str], after: str) -> str | None:
 
 
 def daily_ic(pred: np.ndarray, realized: np.ndarray, method: str = "pearson") -> float:
-    """Cross-sectional correlation between scores and realized returns."""
-    pred = np.asarray(pred, dtype=np.float64)
-    realized = np.asarray(realized, dtype=np.float64)
+    """Cross-sectional correlation between scores and realized returns, in
+    the precision of the inputs."""
+    pred = np.asarray(pred)
+    realized = np.asarray(realized)
     if pred.shape != realized.shape or pred.size < 2:
         raise ValueError("need two equal-length vectors with >= 2 entries")
     if method == "rank":

@@ -73,7 +73,8 @@ def finetune_loss_fn(window: WindowSample, graph: CorrelationGraph,
     def fn(params: ParamStore):
         out = model.encoder_forward(window.panel, conn, params, cfg)
         y_hat = model.finetune_head(out, params, cfg)
-        return losses.loss_finetune(y_hat, window.target, lambda_m)
+        total, _, _ = losses.loss_finetune(y_hat, window.target, lambda_m)
+        return total
     return fn
 
 

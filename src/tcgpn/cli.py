@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +23,13 @@ import numpy as np
 
 from . import backtest, checks, config, data, graphs, train
 from .config import ConfigError
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="append", required=True,
                    help="key=v1,v2,... (repeatable; e.g. r_t=0.1,0.3,0.5)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes, capped at the CPU count")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -142,13 +151,9 @@ def _hash_inputs(run_dir: Path, paths: list[str | Path]) -> None:
     (run_dir / "inputs.sha256").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _prepare(args, values, splits: bool = True):
-    """Load panel + graph, split, standardize and window per the config."""
-    panel, report = data.load_panel(args.data)
-    if report.messages:
-        print(f"load: {report.messages[0]} (+{len(report.messages) - 1} more)" if len(report.messages) > 1
-              else f"load: {report.messages[0]}")
-    graph = graphs.load_graph(args.graph, panel.node_ids)
+def _split_windows(panel: data.TimePanel, values):
+    """Split per split_mode, standardize with training-split stats and window
+    each part; returns the (train, val, test) windows and the model config."""
     if values["split_mode"] == "year":
         parts = data.split_by_year(panel, values["train_years"], values["val_years"], values["test_years"])
     elif values["split_mode"] == "fraction":
@@ -158,13 +163,19 @@ def _prepare(args, values, splits: bool = True):
     if values["standardize"]:
         stats = data.feature_stats(parts[0])
         parts = tuple(data.standardize(p, stats) for p in parts)
-    t, stride = values["window"], values["stride"]
-    windows = tuple(data.window_samples(p, t, stride) for p in parts)
-    return parts, windows, graph
+    windows = tuple(data.window_samples(p, values["window"], values["stride"]) for p in parts)
+    return windows, config.to_model_config(values, panel.n_features)
 
 
-def _model_cfg(values, n_features: int):
-    return config.to_model_config(values, n_features)
+def _prepare(args, values):
+    """Load panel + graph, then split, standardize and window per the config."""
+    panel, report = data.load_panel(args.data)
+    if report.messages:
+        print(f"load: {report.messages[0]} (+{len(report.messages) - 1} more)" if len(report.messages) > 1
+              else f"load: {report.messages[0]}")
+    graph = graphs.load_graph(args.graph, panel.node_ids)
+    windows, model_cfg = _split_windows(panel, values)
+    return windows, graph, model_cfg
 
 
 # subcommands ---------------------------------------------------------------------
@@ -219,11 +230,10 @@ def cmd_build_graph(args, values) -> int:
 
 
 def cmd_pretrain(args, values) -> int:
-    parts, windows, graph = _prepare(args, values)
+    windows, graph, model_cfg = _prepare(args, values)
     run_dir = _make_run_dir(args.out, values["seed"])
     config.dump(values, run_dir / "config.txt")
     _hash_inputs(run_dir, [args.data, args.graph])
-    model_cfg = _model_cfg(values, parts[0].n_features)
     train_cfg = config.to_train_config(values, "pretrain")
     result = train.pretrain(windows[0], windows[1], graph, model_cfg, train_cfg,
                             run_dir=run_dir, verbose=True)
@@ -233,11 +243,10 @@ def cmd_pretrain(args, values) -> int:
 
 
 def cmd_finetune(args, values) -> int:
-    parts, windows, graph = _prepare(args, values)
+    windows, graph, model_cfg = _prepare(args, values)
     run_dir = _make_run_dir(args.out, values["seed"])
     config.dump(values, run_dir / "config.txt")
     _hash_inputs(run_dir, [args.checkpoint, args.data, args.graph])
-    model_cfg = _model_cfg(values, parts[0].n_features)
     try:
         params, model_cfg = train.load_pretrained(args.checkpoint, model_cfg)
     except ValueError as e:
@@ -251,8 +260,7 @@ def cmd_finetune(args, values) -> int:
 
 
 def cmd_predict(args, values) -> int:
-    parts, windows, graph = _prepare(args, values)
-    model_cfg = _model_cfg(values, parts[0].n_features)
+    windows, graph, model_cfg = _prepare(args, values)
     try:
         params, model_cfg = train.load_pretrained(args.checkpoint, model_cfg)
     except ValueError as e:
@@ -310,12 +318,7 @@ def _sweep_point(payload) -> dict:
         lag=merged["synth_lag"], noise_std=merged["synth_noise_std"],
         length=merged["synth_length"], seed=merged["seed"])
     panel, graph = data.gen_synthetic(spec)
-    parts = data.split_by_fraction(panel, merged["train_frac"], merged["val_frac"])
-    if merged["standardize"]:
-        stats = data.feature_stats(parts[0])
-        parts = tuple(data.standardize(p, stats) for p in parts)
-    windows = tuple(data.window_samples(p, merged["window"], merged["stride"]) for p in parts)
-    model_cfg = config.to_model_config(merged, parts[0].n_features)
+    windows, model_cfg = _split_windows(panel, merged)
     pre_cfg = config.to_train_config(merged, "pretrain")
     fine_cfg = config.to_train_config(merged, "finetune")
     run_dir = Path(out_dir)
@@ -345,8 +348,9 @@ def cmd_sweep(args, values) -> int:
     for i, point in enumerate(points):
         label = "_".join(f"{k}={point[k]}" for k in keys)
         payloads.append((values, point, out / f"point_{i:03d}_{label}"))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]

@@ -167,7 +167,8 @@ def load_panel(path: str | Path, schema: Sequence[str] | None = None,
     all_dates = sorted({d for per in rows.values() for d in per})
     if missing == "intersect":
         dates = [d for d in all_dates if all(d in rows[s] for s in node_ids)]
-        dropped = [d for d in all_dates if d not in set(dates)]
+        kept = set(dates)
+        dropped = [d for d in all_dates if d not in kept]
         if dropped:
             report.dropped_dates = dropped
             report.dropped_rows = sum(1 for s in node_ids for d in dropped if d in rows[s])
@@ -182,6 +183,7 @@ def load_panel(path: str | Path, schema: Sequence[str] | None = None,
     n, d_count = len(node_ids), len(dates)
     features = np.zeros((n, d_count, n_feat))
     targets = np.zeros((n, d_count))
+    filled = 0
     for i, sym in enumerate(node_ids):
         prev: tuple | None = None
         for j, d in enumerate(dates):
@@ -190,10 +192,12 @@ def load_panel(path: str | Path, schema: Sequence[str] | None = None,
                 if prev is None:
                     raise ValueError(f"{path}: node {sym!r} has no data at or before {d}")
                 rec = prev[:-1] + (0.0,)  # forward-fill features, zero target
-                report.messages.append(f"ffill {sym} at {d}")
+                filled += 1
             features[i, j] = rec[:-1]
             targets[i, j] = rec[-1]
             prev = rec
+    if filled:
+        report.messages.append(f"ffill: forward-filled {filled} missing (node, date) cells")
     panel = TimePanel(node_ids=node_ids, dates=dates, features=features,
                       targets=targets, feature_names=feature_names)
     return panel, report

@@ -88,8 +88,11 @@ def build_industry_graph(nodes: Sequence[tuple[str, str, float, float]]) -> Corr
 
 
 def build_distance_graph(panel, k_neighbors: int) -> CorrelationGraph:
-    """Symmetric graph weighted by Euclidean distance between whole node
-    series, sparsified to the union of each node's k nearest neighbors."""
+    """Symmetric graph over the union of each node's k nearest neighbors by
+    Euclidean distance d between whole node series. A kept edge weighs
+    exp(-(d / sigma)^2) with sigma the mean kept distance (the Gaussian
+    kernel of DCRNN, Li et al., ICLR 2018): closer pairs weigh more, identical
+    series weigh 1, and every kept edge stays nonzero."""
     feats = np.asarray(panel.features, dtype=np.float64)
     n = feats.shape[0]
     if n < 2:
@@ -109,8 +112,10 @@ def build_distance_graph(panel, k_neighbors: int) -> CorrelationGraph:
         order = order[order != i]
         keep[i, order[:k_neighbors]] = True
     keep |= keep.T  # union over both endpoints preserves symmetry
-    weights = np.where(keep, dist, 0.0)
-    np.fill_diagonal(weights, 0.0)
+    sigma = dist[keep].mean()
+    similarity = np.exp(-(dist / sigma) ** 2) if sigma > 0 else np.ones_like(dist)
+    # the floor stops a far outlier's kernel value underflowing and deleting a kept edge
+    weights = np.where(keep, np.maximum(similarity, np.finfo(np.float64).tiny), 0.0)
     return CorrelationGraph(n_nodes=n, weights=weights, directed=False,
                             node_ids=list(panel.node_ids))
 

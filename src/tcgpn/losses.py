@@ -34,6 +34,23 @@ class LossReport:
 
     FIELDS = ("step", "l_t", "l_g", "l_pre", "l_mse", "l_pearson", "l_fine")
 
+    @classmethod
+    def merge(cls, step: int, reports: list["LossReport"]) -> "LossReport":
+        """One optimizer step's report from its per-sample reports: each loss
+        term is averaged over the samples that computed it, counts are summed."""
+        out = cls(step=step,
+                  masked_count=sum(r.masked_count for r in reports),
+                  supervised_edge_count=sum(r.supervised_edge_count for r in reports))
+        for name in cls.FIELDS[1:]:  # the loss terms
+            values = [getattr(r, name) for r in reports if getattr(r, name) is not None]
+            setattr(out, name, float(np.mean(values)) if values else None)
+        return out
+
+    @property
+    def total(self) -> float | None:
+        """The objective that was minimized: l_pre in pretraining, l_fine in fine-tuning."""
+        return self.l_fine if self.l_pre is None else self.l_pre
+
     def row(self) -> list[str]:
         out = []
         for name in self.FIELDS:
@@ -103,11 +120,17 @@ def loss_pearson(y_hat: Tensor, y) -> Tensor:
     return -(cov / denom)
 
 
-def loss_finetune(y_hat: Tensor, y, lambda_m: float = 0.3) -> Tensor:
-    """Weighted MSE plus negative Pearson over one cross-section."""
-    if lambda_m < 0:
-        raise ValueError("lambda_m must be non-negative")
-    return lambda_m * loss_mse(y_hat, y) + loss_pearson(y_hat, y)
+def loss_finetune(y_hat: Tensor, y, lambda_m: float = 0.3
+                  ) -> tuple[Tensor, Tensor, Tensor | None]:
+    """Weighted MSE plus negative Pearson over one cross-section, returned as
+    (total, mse, pearson). A constant cross-section drops the Pearson term
+    (pearson is None) instead of failing the batch."""
+    mse = loss_mse(y_hat, y)
+    try:
+        pearson = loss_pearson(y_hat, y)
+    except ZeroVarianceError:
+        return lambda_m * mse, mse, None
+    return lambda_m * mse + pearson, mse, pearson
 
 
 def loss_pretrain(l_t: Tensor | None, l_g: Tensor | None, beta: float = 1.0) -> Tensor:

@@ -82,7 +82,6 @@ class EncoderOutput:
     attention: Optional[list[np.ndarray]] = None  # per block, (N, H, T, T)
 
 
-ENCODER_PREFIXES = ("fuse.", "gat.", "proj.", "enc.")
 HEAD_PREFIX = "head."
 
 

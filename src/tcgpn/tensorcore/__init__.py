@@ -14,7 +14,6 @@ from .tensor import (
     div,
     exp,
     leaky_relu,
-    log,
     masked_select,
     matmul,
     mean,
@@ -25,7 +24,6 @@ from .tensor import (
     reshape,
     softmax,
     sqrt,
-    stack,
     sub,
     sum,
     transpose,
@@ -48,7 +46,6 @@ __all__ = [
     "grad_check",
     "leaky_relu",
     "load_checkpoint",
-    "log",
     "masked_select",
     "matmul",
     "mean",
@@ -61,7 +58,6 @@ __all__ = [
     "save_checkpoint",
     "softmax",
     "sqrt",
-    "stack",
     "sub",
     "sum",
     "transpose",

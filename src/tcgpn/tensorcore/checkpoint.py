@@ -2,12 +2,15 @@
 
 Layout: magic bytes "TCGPN001", a little-endian uint32 header length, a
 UTF-8 JSON header {"config": ..., "entries": [{path, shape, dtype, offset}]},
-then the raw little-endian parameter values. Offsets index into the payload.
+then the raw little-endian parameter values. Offsets index into the payload,
+which ends with the last entry. Files are written through a temporary file
+and renamed into place, so a reader never sees a partial checkpoint.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -16,6 +19,7 @@ import numpy as np
 from .params import ParamStore
 
 MAGIC = b"TCGPN001"
+_PREFIX = len(MAGIC) + 4  # magic + header length
 
 _DTYPE_CODES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
@@ -31,32 +35,50 @@ def save_checkpoint(path: str | Path, params: ParamStore, config: dict | None = 
         blobs.append(raw)
         offset += len(raw)
     header = json.dumps({"config": config, "entries": entries}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for raw in blobs:
-            fh.write(raw)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict | None]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
+    raw = Path(path).read_bytes()
+    if raw[:len(MAGIC)] != MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file (bad magic {raw[:len(MAGIC)]!r})")
+    if len(raw) < _PREFIX:
+        raise ValueError(f"{path}: checkpoint header is short")
+    (header_len,) = struct.unpack_from("<I", raw, len(MAGIC))
+    start = _PREFIX + header_len
+    if len(raw) < start:
+        raise ValueError(f"{path}: checkpoint header is short ({len(raw) - _PREFIX} of {header_len} bytes)")
+    header = json.loads(raw[_PREFIX:start].decode("utf-8"))
+    payload = memoryview(raw)[start:]
     arrays: dict[str, np.ndarray] = {}
+    end = 0
     for entry in header["entries"]:
-        dtype = _DTYPE_CODES[entry["dtype"]]
+        dtype = _DTYPE_CODES.get(entry["dtype"])
+        if dtype is None:
+            raise ValueError(f"{path}: unknown dtype code {entry['dtype']!r} at {entry['path']}")
         shape = tuple(entry["shape"])
         n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        stop = start + n * dtype.itemsize
+        begin = entry["offset"]
+        stop = begin + n * dtype.itemsize
         if stop > len(payload):
-            raise ValueError(f"checkpoint truncated at {entry['path']}")
-        arr = np.frombuffer(payload[start:stop], dtype=dtype).reshape(shape)
-        arrays[entry["path"]] = arr
-    store = ParamStore.from_arrays(arrays)
+            raise ValueError(f"{path}: checkpoint truncated at {entry['path']}")
+        arrays[entry["path"]] = np.frombuffer(payload[begin:stop], dtype=dtype).reshape(shape)
+        end = max(end, stop)
+    if end != len(payload):
+        raise ValueError(f"{path}: {len(payload) - end} trailing bytes after the last entry")
+    try:
+        store = ParamStore.from_arrays(arrays)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     return store, header.get("config")

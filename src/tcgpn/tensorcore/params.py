@@ -58,9 +58,6 @@ class ParamStore:
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {p: tuple(t.shape) for p, t in self.items()}
 
-    def n_values(self) -> int:
-        return int(np.sum([t.data.size for t in self._entries.values()]))
-
     def zero_grad(self) -> None:
         for t in self._entries.values():
             t.grad = None
@@ -84,20 +81,12 @@ class ParamStore:
             out._entries[path] = Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
         return out
 
-    def load_values(self, values: Mapping[str, np.ndarray]) -> None:
-        """Overwrite entry data in place; shapes must match."""
-        for path, arr in values.items():
-            if path not in self._entries:
-                raise KeyError(f"unknown parameter path: {path}")
-            cur = self._entries[path]
-            if tuple(arr.shape) != tuple(cur.shape):
-                raise ValueError(f"shape mismatch for {path}: {arr.shape} vs {cur.shape}")
-            cur.data = np.ascontiguousarray(arr, dtype=cur.data.dtype)
-
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray], seed: int = 0) -> "ParamStore":
         dtypes = {a.dtype for a in arrays.values()}
-        dtype = dtypes.pop() if len(dtypes) == 1 else np.float32
+        if len(dtypes) > 1:
+            raise ValueError(f"mixed parameter dtypes: {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.float32
         out = cls(seed=seed, dtype=dtype)
         for path in sorted(arrays):
             out._entries[path] = Tensor(np.array(arrays[path]), requires_grad=True)

@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 The primitive set is closed: add, sub, mul, div, neg, matmul, transpose,
-reshape, concat, exp, log, sqrt, relu, leaky_relu, softmax, sum, mean,
+reshape, concat, exp, sqrt, relu, leaky_relu, softmax, sum, mean,
 where_const (constant-mask selection) and masked_select. Every primitive
 has an exact vector-Jacobian product, so any composition of them has exact
 gradients; the finite-difference checker in gradcheck.py verifies this.
@@ -75,12 +75,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -333,11 +327,6 @@ def exp(a) -> Tensor:
     return _result(y, (a,), (lambda g: g * y,))
 
 
-def log(a) -> Tensor:
-    a = _coerce(a)
-    return _result(np.log(a.data), (a,), (lambda g: g / a.data,))
-
-
 def sqrt(a) -> Tensor:
     a = _coerce(a)
     y = np.sqrt(a.data)
@@ -430,9 +419,3 @@ def masked_select(a, mask: np.ndarray) -> Tensor:
 
     return _result(data, (a,), (vjp,))
 
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
-    ax = axis % (tensors[0].ndim + 1)
-    expanded = [reshape(t, t.shape[:ax] + (1,) + t.shape[ax:]) for t in tensors]
-    return concat(expanded, axis=ax)

@@ -1,10 +1,15 @@
-"""Pretraining and fine-tuning loops.
+"""Pretraining and fine-tuning, one training loop for both.
 
 Pretraining: window -> node subset -> temporal + graph masking -> encoder ->
-both decoders -> combined loss -> Adam, with best-validation checkpointing
-and early stopping. Fine-tuning keeps the encoder frozen (by default), feeds
-unmasked inputs, and trains only the prediction head; frozen encodings are
-computed once and cached.
+both decoders -> combined loss. Fine-tuning keeps the encoder frozen (by
+default), feeds unmasked inputs, and trains only the prediction head; frozen
+encodings are computed once and cached.
+
+Both phases run `_fit`: per batch it sums per-sample gradients and steps Adam
+on their mean, then after each epoch it validates, keeps the best parameters
+and stops after `early_stop_patience` epochs without improvement. Pretraining
+validates on masked-reconstruction loss, fine-tuning on IC. With no
+validation windows, both phases score an epoch by its mean training loss.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import augment, losses, model
+from . import augment, backtest, losses, model
 from .data import TimePanel, WindowSample
 from .graphs import CorrelationGraph
 from .tensorcore import Adam, ParamStore, Tensor, no_grad, save_checkpoint, load_checkpoint
@@ -44,6 +49,8 @@ class TrainConfig:
             raise ValueError("mask rates must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.lambda_m < 0:
+            raise ValueError("lambda_m must be non-negative")
 
 
 @dataclass
@@ -59,21 +66,73 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _batches(items: list, size: int):
-    for i in range(0, len(items), size):
-        yield items[i:i + size]
+def _fit(phase: str, params: ParamStore, train_windows: list[WindowSample],
+         sample_loss, validate, model_cfg: model.ModelConfig, cfg: TrainConfig,
+         run_dir: str | Path | None, verbose: bool, *, minimize: bool) -> TrainResult:
+    """The training loop both phases share.
 
-
-def _scaled(grads: dict[str, np.ndarray], factor: float) -> dict[str, np.ndarray]:
-    return {k: g * factor for k, g in grads.items()}
-
-
-def _accumulate(total: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-    for k, g in grads.items():
-        if k in total:
-            total[k] = total[k] + g
+    sample_loss(window, index, seed, step) returns one sample's loss tensor
+    and its LossReport; index is the window's position in train_windows.
+    validate(params) scores an epoch, lower is better when minimize; with
+    validate None the score is the epoch's mean training loss (negated when
+    higher is better). The best-scoring parameters are returned and, with a
+    run_dir, saved with the step log.
+    """
+    opt = Adam(lr=cfg.learning_rate)
+    result = TrainResult(params=params)
+    best = np.inf if minimize else -np.inf
+    best_params = params.clone()
+    stale = 0
+    step = 0
+    for epoch in range(cfg.epochs):
+        step_losses = []
+        for b, start in enumerate(range(0, len(train_windows), cfg.batch_size)):
+            batch = train_windows[start:start + cfg.batch_size]
+            grads_total: dict[str, np.ndarray] = {}
+            reports = []
+            for j, window in enumerate(batch):
+                seed = _derive_seed(cfg.seed, epoch, b, j)
+                loss, report = sample_loss(window, start + j, seed, step)
+                if not np.isfinite(loss.data):
+                    raise RuntimeError(f"non-finite {phase} loss (epoch {epoch}, batch {b}, "
+                                       f"window {start + j}, sample seed {seed})")
+                params.zero_grad()
+                loss.backward()
+                for p, t in params.items():
+                    if t.grad is not None:
+                        grads_total[p] = grads_total[p] + t.grad if p in grads_total else t.grad
+                reports.append(report)
+            opt.step(params, {p: g * (1.0 / len(batch)) for p, g in grads_total.items()})
+            result.history.append(losses.LossReport.merge(step, reports))
+            step_losses.append(result.history[-1].total)
+            step += 1
+        if validate is not None:
+            score = validate(params)
         else:
-            total[k] = g
+            score = float(np.mean(step_losses))
+            score = score if minimize else -score
+        result.val_history.append((epoch, score))
+        if verbose:
+            print(f"epoch {epoch}: {phase} loss {step_losses[-1]:.5f} val {score:.5f}")
+        if (score < best) if minimize else (score > best):
+            best = score
+            best_params = params.clone()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= cfg.early_stop_patience:
+                break
+    result.params = best_params
+    result.best_val = best
+    if run_dir is not None:
+        run_dir = Path(run_dir)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        ckpt = run_dir / {"pretrain": "pretrained.ckpt", "finetune": "finetuned.ckpt"}[phase]
+        save_checkpoint(ckpt, best_params, config={"model": model_cfg.to_dict(),
+                                                   "train": asdict(cfg), "phase": phase})
+        losses.write_loss_log(run_dir / f"{phase}_log.csv", result.history)
+        result.checkpoint_path = str(ckpt)
+    return result
 
 
 def pretrain_sample_losses(sample: augment.MaskedSample, params: ParamStore,
@@ -104,17 +163,15 @@ def _make_sample(window: WindowSample, graph: CorrelationGraph, cfg: TrainConfig
 
 def _pretrain_validation(windows: list[WindowSample], graph: CorrelationGraph,
                          params: ParamStore, model_cfg: model.ModelConfig,
-                         cfg: TrainConfig) -> tuple[float, float]:
-    """Combined and temporal-only validation loss on deterministic masks."""
-    totals, l_ts = [], []
+                         cfg: TrainConfig) -> float:
+    """Mean combined validation loss on deterministic masks."""
+    totals = []
     with no_grad():
         for i, window in enumerate(windows):
             sample = _make_sample(window, graph, cfg, _derive_seed(cfg.seed, 999_983, i))
-            combined, l_t, _ = pretrain_sample_losses(sample, params, model_cfg, cfg)
+            combined, _, _ = pretrain_sample_losses(sample, params, model_cfg, cfg)
             totals.append(float(combined.data))
-            if l_t is not None:
-                l_ts.append(float(l_t.data))
-    return float(np.mean(totals)), (float(np.mean(l_ts)) if l_ts else np.nan)
+    return float(np.mean(totals))
 
 
 def pretrain(train_windows: list[WindowSample], val_windows: list[WindowSample],
@@ -125,74 +182,29 @@ def pretrain(train_windows: list[WindowSample], val_windows: list[WindowSample],
         raise ValueError("pretraining needs at least one window")
     params = initial_params.clone() if initial_params is not None \
         else model.init_params(model_cfg, seed=cfg.seed)
-    opt = Adam(lr=cfg.learning_rate)
-    result = TrainResult(params=params)
-    best = np.inf
-    best_params = params.clone()
-    stale = 0
-    step = 0
-    n_batches = (len(train_windows) + cfg.batch_size - 1) // cfg.batch_size
-    for epoch in range(cfg.epochs):
-        for b, batch in enumerate(_batches(train_windows, cfg.batch_size)):
-            grads_total: dict[str, np.ndarray] = {}
-            report = losses.LossReport(step=step)
-            l_t_vals, l_g_vals, combined_vals = [], [], []
-            for j, window in enumerate(batch):
-                sample_seed = _derive_seed(cfg.seed, epoch, b, j)
-                sample = _make_sample(window, graph, cfg, sample_seed)
-                if cfg.alternate_tasks:
-                    want_t = step % 2 == 0
-                    want_g = not want_t
-                else:
-                    want_t = want_g = True
-                combined, l_t, l_g = pretrain_sample_losses(sample, params, model_cfg, cfg,
-                                                            want_temporal=want_t, want_graph=want_g)
-                if not np.isfinite(combined.data):
-                    raise RuntimeError(
-                        f"non-finite pretraining loss (epoch {epoch}, batch {b}, sample seed {sample_seed})")
-                params.zero_grad()
-                combined.backward()
-                _accumulate(grads_total, {p: t.grad for p, t in params.items() if t.grad is not None})
-                combined_vals.append(float(combined.data))
-                if l_t is not None:
-                    l_t_vals.append(float(l_t.data))
-                    report.masked_count += int(sample.panel.mask_positions.sum())
-                if l_g is not None:
-                    l_g_vals.append(float(l_g.data))
-                    report.supervised_edge_count += int(
-                        (sample.graph.mask_kept & (sample.original_weights != 0)).sum())
-            opt.step(params, _scaled(grads_total, 1.0 / len(batch)))
-            report.l_t = float(np.mean(l_t_vals)) if l_t_vals else None
-            report.l_g = float(np.mean(l_g_vals)) if l_g_vals else None
-            report.l_pre = float(np.mean(combined_vals))
-            result.history.append(report)
-            step += 1
-        if val_windows:
-            val_loss, _ = _pretrain_validation(val_windows, graph, params, model_cfg, cfg)
-        else:
-            val_loss = float(np.mean([r.l_pre for r in result.history[-n_batches:]]))
-        result.val_history.append((epoch, val_loss))
-        if verbose:
-            print(f"epoch {epoch}: train {result.history[-1].l_pre:.5f} val {val_loss:.5f}")
-        if val_loss < best:
-            best = val_loss
-            best_params = params.clone()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                break
-    result.params = best_params
-    result.best_val = best
-    if run_dir is not None:
-        run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        ckpt = run_dir / "pretrained.ckpt"
-        save_checkpoint(ckpt, best_params, config={"model": model_cfg.to_dict(),
-                                                   "train": asdict(cfg), "phase": "pretrain"})
-        losses.write_loss_log(run_dir / "pretrain_log.csv", result.history)
-        result.checkpoint_path = str(ckpt)
-    return result
+
+    def sample_loss(window: WindowSample, index: int, seed: int, step: int):
+        sample = _make_sample(window, graph, cfg, seed)
+        # alternate_tasks trains the temporal task on even steps, the graph task on odd ones
+        want_t = not cfg.alternate_tasks or step % 2 == 0
+        want_g = not cfg.alternate_tasks or step % 2 == 1
+        combined, l_t, l_g = pretrain_sample_losses(sample, params, model_cfg, cfg,
+                                                    want_temporal=want_t, want_graph=want_g)
+        report = losses.LossReport(step=step, l_pre=float(combined.data))
+        if l_t is not None:
+            report.l_t = float(l_t.data)
+            report.masked_count = int(sample.panel.mask_positions.sum())
+        if l_g is not None:
+            report.l_g = float(l_g.data)
+            report.supervised_edge_count = int(
+                (sample.graph.mask_kept & (sample.original_weights != 0)).sum())
+        return combined, report
+
+    def validate(params: ParamStore) -> float:
+        return _pretrain_validation(val_windows, graph, params, model_cfg, cfg)
+
+    return _fit("pretrain", params, train_windows, sample_loss, validate if val_windows else None,
+                model_cfg, cfg, run_dir, verbose, minimize=True)
 
 
 def load_pretrained(path: str | Path, model_cfg: model.ModelConfig | None = None
@@ -212,19 +224,6 @@ def load_pretrained(path: str | Path, model_cfg: model.ModelConfig | None = None
     return store, cfg
 
 
-def _head_loss(o_l, target: np.ndarray, params: ParamStore, model_cfg: model.ModelConfig,
-               cfg: TrainConfig):
-    y_hat = model.finetune_head(o_l, params, model_cfg)
-    mse = losses.loss_mse(y_hat, target)
-    try:
-        pearson = losses.loss_pearson(y_hat, target)
-        total = cfg.lambda_m * mse + pearson
-    except losses.ZeroVarianceError:
-        pearson = None
-        total = cfg.lambda_m * mse
-    return total, mse, pearson
-
-
 def finetune(pretrained: ParamStore, train_windows: list[WindowSample],
              val_windows: list[WindowSample], graph: CorrelationGraph,
              model_cfg: model.ModelConfig, cfg: TrainConfig,
@@ -239,74 +238,29 @@ def finetune(pretrained: ParamStore, train_windows: list[WindowSample],
         params.set_trainable(False)
         params.set_trainable(True, model.HEAD_PREFIX)
     conn = graph.weights != 0
-    opt = Adam(lr=cfg.learning_rate)
-    result = TrainResult(params=params)
-
     cache: dict[int, np.ndarray] = {}
 
-    def encoding(window: WindowSample, key: int):
+    def encoding(window: WindowSample, index: int):
         if cfg.freeze_encoder:
-            if key not in cache:
+            if index not in cache:
                 with no_grad():
                     out = model.encoder_forward(window.panel, conn, params, model_cfg)
-                cache[key] = out.o_l.data
-            return Tensor(cache[key])
+                cache[index] = out.o_l.data
+            return Tensor(cache[index])
         return model.encoder_forward(window.panel, conn, params, model_cfg).o_l
 
-    best = -np.inf
-    best_params = params.clone()
-    stale = 0
-    step = 0
-    for epoch in range(cfg.epochs):
-        for b, batch in enumerate(_batches(train_windows, cfg.batch_size)):
-            grads_total: dict[str, np.ndarray] = {}
-            mse_vals, pearson_vals, total_vals = [], [], []
-            for j, window in enumerate(batch):
-                total, mse, pearson = _head_loss(encoding(window, b * cfg.batch_size + j),
-                                                 window.target, params, model_cfg, cfg)
-                if not np.isfinite(total.data):
-                    raise RuntimeError(f"non-finite fine-tune loss (epoch {epoch}, batch {b})")
-                params.zero_grad()
-                total.backward()
-                _accumulate(grads_total, {p: t.grad for p, t in params.items() if t.grad is not None})
-                total_vals.append(float(total.data))
-                mse_vals.append(float(mse.data))
-                if pearson is not None:
-                    pearson_vals.append(float(pearson.data))
-            opt.step(params, _scaled(grads_total, 1.0 / len(batch)))
-            result.history.append(losses.LossReport(
-                step=step,
-                l_mse=float(np.mean(mse_vals)),
-                l_pearson=float(np.mean(pearson_vals)) if pearson_vals else None,
-                l_fine=float(np.mean(total_vals)),
-            ))
-            step += 1
-        if val_windows:
-            val_ic = evaluate_ic(params, model_cfg, val_windows, graph)
-        else:
-            val_ic = -float(np.mean([r.l_fine for r in result.history[-1:]]))
-        result.val_history.append((epoch, val_ic))
-        if verbose:
-            print(f"epoch {epoch}: fine-tune loss {result.history[-1].l_fine:.5f} val IC {val_ic:.4f}")
-        if val_ic > best:
-            best = val_ic
-            best_params = params.clone()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                break
-    result.params = best_params
-    result.best_val = best
-    if run_dir is not None:
-        run_dir = Path(run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        ckpt = run_dir / "finetuned.ckpt"
-        save_checkpoint(ckpt, best_params, config={"model": model_cfg.to_dict(),
-                                                   "train": asdict(cfg), "phase": "finetune"})
-        losses.write_loss_log(run_dir / "finetune_log.csv", result.history)
-        result.checkpoint_path = str(ckpt)
-    return result
+    def sample_loss(window: WindowSample, index: int, seed: int, step: int):
+        y_hat = model.finetune_head(encoding(window, index), params, model_cfg)
+        total, mse, pearson = losses.loss_finetune(y_hat, window.target, cfg.lambda_m)
+        return total, losses.LossReport(
+            step=step, l_mse=float(mse.data), l_fine=float(total.data),
+            l_pearson=None if pearson is None else float(pearson.data))
+
+    def validate(params: ParamStore) -> float:
+        return evaluate_ic(params, model_cfg, val_windows, graph)
+
+    return _fit("finetune", params, train_windows, sample_loss, validate if val_windows else None,
+                model_cfg, cfg, run_dir, verbose, minimize=False)
 
 
 # prediction and reference baselines -------------------------------------------
@@ -336,34 +290,28 @@ def write_predictions(path: str | Path, rows: list[tuple[str, list[str], np.ndar
                 fh.write(f"{date},{sym},{float(s)!r}\n")
 
 
-def _cross_sectional_ic(pred: np.ndarray, realized: np.ndarray) -> float | None:
-    if np.std(pred) == 0 or np.std(realized) == 0:
-        return None
-    pc = pred - pred.mean()
-    rc = realized - realized.mean()
-    return float((pc * rc).sum() / (np.sqrt((pc * pc).sum()) * np.sqrt((rc * rc).sum())))
+def _mean_ic(pairs) -> float:
+    """Mean per-date IC over (prediction, realized) pairs, skipping constant
+    cross-sections; NaN when every date is skipped."""
+    ics = []
+    for pred, realized in pairs:
+        try:
+            ics.append(backtest.daily_ic(pred, realized))
+        except backtest.ConstantInputError:
+            continue
+    return float(np.mean(ics)) if ics else np.nan
 
 
 def evaluate_ic(params: ParamStore, model_cfg: model.ModelConfig,
                 windows: list[WindowSample], graph: CorrelationGraph) -> float:
     """Mean per-date correlation between model scores and realized targets."""
-    ics = []
-    for window, (_, _, scores) in zip(windows, predict(params, model_cfg, windows, graph)):
-        ic = _cross_sectional_ic(scores, window.target)
-        if ic is not None:
-            ics.append(ic)
-    return float(np.mean(ics)) if ics else np.nan
+    rows = predict(params, model_cfg, windows, graph)
+    return _mean_ic((scores, window.target) for window, (_, _, scores) in zip(windows, rows))
 
 
 def persistence_ic(panel: TimePanel, windows: list[WindowSample]) -> float:
     """Baseline that predicts tomorrow's target with today's realized one."""
-    ics = []
-    for window in windows:
-        pred = panel.targets[:, window.end_index]
-        ic = _cross_sectional_ic(pred, window.target)
-        if ic is not None:
-            ics.append(ic)
-    return float(np.mean(ics)) if ics else np.nan
+    return _mean_ic((panel.targets[:, window.end_index], window.target) for window in windows)
 
 
 def masked_reconstruction_mse(params: ParamStore, model_cfg: model.ModelConfig,

@@ -1,9 +1,14 @@
-"""Checkpoint round-trips, magic validation, config embedding."""
+"""Checkpoint round-trips, malformed-file rejection, atomic writes, config
+embedding."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from tcgpn import model, train
+from tcgpn.tensorcore import checkpoint as checkpoint_module
 from tcgpn.tensorcore import MAGIC, ParamStore, load_checkpoint, save_checkpoint
 
 
@@ -70,3 +75,64 @@ def test_load_pretrained_rejects_config_mismatch(tmp_path):
                               tgm_blocks=1, tgm_heads=2, window=8, d_a=4)
     with pytest.raises(ValueError):
         train.load_pretrained(path, other)
+
+
+def _saved(tmp_path):
+    store = ParamStore(seed=0)
+    store.add("w", (4,), "fan_in")
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, store)
+    return path, path.read_bytes()
+
+
+def _with_header(raw: bytes, edit) -> bytes:
+    (n,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + n])
+    edit(header)
+    encoded = json.dumps(header).encode()
+    return raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n:]
+
+
+def test_unknown_dtype_code_rejected(tmp_path):
+    path, raw = _saved(tmp_path)
+    path.write_bytes(_with_header(raw, lambda h: h["entries"][0].update(dtype="<i8")))
+    with pytest.raises(ValueError, match=r"x\.ckpt.*unknown dtype code '<i8'"):
+        load_checkpoint(path)
+
+
+def test_short_header_rejected(tmp_path):
+    path, raw = _saved(tmp_path)
+    path.write_bytes(raw[:20])  # the header length promises more bytes than follow
+    with pytest.raises(ValueError, match=r"x\.ckpt.*header is short"):
+        load_checkpoint(path)
+    path.write_bytes(MAGIC + b"\x01")
+    with pytest.raises(ValueError, match=r"x\.ckpt.*header is short"):
+        load_checkpoint(path)
+
+
+def test_trailing_payload_bytes_rejected(tmp_path):
+    path, raw = _saved(tmp_path)
+    path.write_bytes(raw + b"\x00" * 3)
+    with pytest.raises(ValueError, match=r"x\.ckpt.*3 trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_mixed_dtypes_rejected():
+    arrays = {"a": np.zeros(2, dtype=np.float32), "b": np.zeros(2, dtype=np.float64)}
+    with pytest.raises(ValueError, match="mixed parameter dtypes"):
+        ParamStore.from_arrays(arrays)
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    path, raw = _saved(tmp_path)
+    other = ParamStore(seed=1)
+    other.add("w", (4,), "fan_in")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint_module.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, other)
+    assert path.read_bytes() == raw
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]  # no temporary file left

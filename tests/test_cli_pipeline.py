@@ -108,3 +108,45 @@ def test_sweep_grid(pipeline):
     for p in points:
         assert (out / p / "config.txt").exists()
         assert (out / p / "pretrained.ckpt").exists()
+
+
+def test_sweep_honours_split_mode(tmp_path, capsys):
+    # a 400-date synthetic panel spans 2 calendar years; the year split needs 12
+    code = dispatch(["sweep", "--grid", "r_t=0.2", "--out", str(tmp_path / "sweep"),
+                     "--synth_length", "400"] + TINY + ["--split_mode", "year"])
+    assert code == 1
+    assert "panel spans 2 calendar years, need 12" in capsys.readouterr().err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        RecordingPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
+    from tcgpn import cli
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "_sweep_point", lambda payload: dict(
+        payload[1], pretrain_val_loss=0.0, val_ic=0.0))
+    RecordingPool.max_workers = []
+    assert dispatch(["sweep", "--grid", "r_t=0.1,0.2", "--out", str(tmp_path / "a"),
+                     "--jobs", "64"]) == 0
+    assert dispatch(["sweep", "--grid", "r_t=0.1,0.2", "--out", str(tmp_path / "b"),
+                     "--jobs", "2"]) == 0
+    assert RecordingPool.max_workers == [3, 2]
+    assert dispatch(["sweep", "--grid", "r_t=0.1", "--out", str(tmp_path / "c"),
+                     "--jobs", "0"]) == 2

@@ -93,13 +93,14 @@ def test_load_ffill_policy(tmp_path):
     p = tmp_path / "p.csv"
     write_csv(p, [
         "2020-01-01,a,1.0,0.1", "2020-01-02,a,2.0,0.2", "2020-01-03,a,3.0,0.3",
-        "2020-01-01,b,4.0,0.4", "2020-01-03,b,6.0,0.6",
+        "2020-01-01,b,4.0,0.4", "2020-01-03,b,6.0,0.6", "2020-01-01,c,7.0,0.7",
     ])
     panel, report = load_panel(p, missing="ffill")
     assert panel.n_dates == 3
     assert panel.features[1, 1, 0] == 4.0  # carried forward
     assert panel.targets[1, 1] == 0.0
-    assert any("ffill" in m for m in report.messages)
+    assert [m for m in report.messages if "ffill" in m] == [
+        "ffill: forward-filled 3 missing (node, date) cells"]
 
 
 def test_save_load_round_trip(tmp_path):

@@ -63,17 +63,22 @@ def test_industry_zero_block_structure_random():
 # distance graph ----------------------------------------------------------------
 
 
-def test_distance_identical_series_weight_zero():
+def test_distance_identical_series_weight_one():
     panel = FakePanel(np.stack([np.ones((4, 1)), np.ones((4, 1)), np.zeros((4, 1))]))
     g = build_distance_graph(panel, k_neighbors=1)
-    assert g.weights[0, 1] == 0.0  # zero distance stores a zero weight
+    # kept distances 0, 0, 2, 2 give sigma 1
+    assert g.weights[0, 1] == g.weights[1, 0] == 1.0  # zero distance keeps the edge at weight 1
+    assert g.weights[0, 2] == pytest.approx(np.exp(-4.0))
 
 
 def test_distance_euclidean_value():
-    panel = FakePanel(np.array([[[1.0], [1.0]], [[0.0], [0.0]]]))
+    # series A = (0, 0), B = (3, 4), C = (3, 0): |AC| = 3, |BC| = 4, |AB| = 5
+    panel = FakePanel(np.array([[[0.0], [0.0]], [[3.0], [4.0]], [[3.0], [0.0]]]))
     g = build_distance_graph(panel, k_neighbors=1)
-    assert g.weights[0, 1] == pytest.approx(np.sqrt(2.0))
-    assert g.weights[1, 0] == pytest.approx(np.sqrt(2.0))
+    sigma = 3.5  # mean of the kept distances 3, 3, 4, 4
+    assert g.weights[0, 2] == g.weights[2, 0] == pytest.approx(np.exp(-(3.0 / sigma) ** 2))
+    assert g.weights[1, 2] == g.weights[2, 1] == pytest.approx(np.exp(-(4.0 / sigma) ** 2))
+    assert g.weights[0, 1] == 0.0  # not among either endpoint's nearest neighbour
 
 
 def test_distance_knn_union_against_bruteforce():
@@ -90,9 +95,10 @@ def test_distance_knn_union_against_bruteforce():
         order = [j for j in np.argsort(dist[i]) if j != i][:2]
         keep[i, order] = True
     keep |= keep.T
-    expected = np.where(keep, dist, 0.0)
-    np.fill_diagonal(expected, 0.0)
+    sigma = dist[keep].mean()
+    expected = np.where(keep, np.exp(-(dist / sigma) ** 2), 0.0)
     assert np.allclose(g.weights, expected)
+    assert np.all((g.weights[keep] > 0) & (g.weights[keep] <= 1))
 
     nz_per_row = (g.weights != 0).sum(axis=1)
     assert np.all(nz_per_row >= 2) and np.all(nz_per_row <= 4)

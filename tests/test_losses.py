@@ -125,13 +125,17 @@ def test_pearson_affine_invariance_and_range():
 
 def test_finetune_combination():
     y = np.array([1.0, 2.0, 3.0])
-    assert float(loss_finetune(Tensor(y.copy()), y, 0.3).data) == pytest.approx(-1.0)
+    total, mse, pearson = loss_finetune(Tensor(y.copy()), y, 0.3)
+    assert float(total.data) == pytest.approx(-1.0)
+    assert float(mse.data) == 0.0 and float(pearson.data) == pytest.approx(-1.0)
     rng = np.random.default_rng(6)
     a, b = rng.normal(size=5), rng.normal(size=5)
-    lam0 = float(loss_finetune(Tensor(a), b, 0.0).data)
-    assert lam0 == pytest.approx(float(loss_pearson(Tensor(a), b).data))
-    with pytest.raises(ValueError):
-        loss_finetune(Tensor(a), b, -0.1)
+    lam0, _, _ = loss_finetune(Tensor(a), b, 0.0)
+    assert float(lam0.data) == pytest.approx(float(loss_pearson(Tensor(a), b).data))
+    # a constant cross-section drops the Pearson term instead of raising
+    total, mse, pearson = loss_finetune(Tensor(np.ones(5)), b, 0.5)
+    assert pearson is None
+    assert float(total.data) == pytest.approx(0.5 * float(mse.data))
 
 
 def test_pretrain_combination_and_ablations():

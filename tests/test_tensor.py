@@ -59,7 +59,6 @@ def test_shape_mismatch_names_op():
 
 @pytest.mark.parametrize("op,build", [
     ("exp", lambda t: tc.sum(tc.exp(t))),
-    ("log", lambda t: tc.sum(tc.log(t + 3.0))),
     ("sqrt", lambda t: tc.sum(tc.sqrt(t + 3.0))),
     ("relu", lambda t: tc.sum(tc.relu(t) * tc.relu(t))),
     ("leaky", lambda t: tc.sum(tc.leaky_relu(t, 0.2) * t)),
@@ -95,14 +94,13 @@ def test_matmul_batched_broadcast_grad():
     assert grad.shape == b.shape
 
 
-def test_concat_and_stack_grads():
+def test_concat_grads():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(2, 3))
 
     def build(t):
         c = tc.concat([t, t * 2.0], axis=1)
-        s = tc.stack([t, t * t], axis=0)
-        return tc.sum(c * c) + tc.sum(s)
+        return tc.sum(c * c)
 
     grad, _ = analytic_grad(build, x)
     num = numeric_grad(lambda arr: float(build(Tensor(arr)).data), x.copy())

@@ -4,7 +4,7 @@ baselines. Uses a miniature synthetic setup to stay fast."""
 import numpy as np
 import pytest
 
-from tcgpn import data, model, train
+from tcgpn import checks, data, losses, model, train
 from tcgpn.data import SyntheticSpec, gen_synthetic, split_by_fraction, window_samples
 from tcgpn.tensorcore import load_checkpoint
 
@@ -113,7 +113,8 @@ def test_finetune_grads_only_cover_head_when_frozen():
     conn = graph.weights != 0
     w = wtrain[0]
     out = model.encoder_forward(w.panel, conn, params, cfg)
-    total, _, _ = train._head_loss(out.o_l, w.target, params, cfg, fast_train_cfg())
+    y_hat = model.finetune_head(out.o_l, params, cfg)
+    total, _, _ = losses.loss_finetune(y_hat, w.target, fast_train_cfg().lambda_m)
     params.zero_grad()
     total.backward()
     grads = {p for p, t in params.items() if t.grad is not None}
@@ -196,6 +197,38 @@ def test_train_config_validation():
         train.TrainConfig(r_t=1.0)
     with pytest.raises(ValueError):
         train.TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="lambda_m"):
+        train.TrainConfig(lambda_m=-0.1)
+
+
+def test_no_validation_scores_epoch_mean_training_loss():
+    _, wtrain, _, graph, cfg = mini_setup()
+    tcfg = fast_train_cfg(epochs=2, batch_size=3)
+    assert len(wtrain) > tcfg.batch_size  # several steps per epoch
+    steps = -(-len(wtrain) // tcfg.batch_size)
+    pre = train.pretrain(wtrain, [], graph, cfg, tcfg)
+    fine = train.finetune(pre.params, wtrain, [], graph, cfg, tcfg)
+    for epoch in range(2):
+        epoch_reports = slice(epoch * steps, (epoch + 1) * steps)
+        assert pre.val_history[epoch][1] == float(np.mean([r.l_pre for r in pre.history[epoch_reports]]))
+        assert fine.val_history[epoch][1] == -float(np.mean([r.l_fine for r in fine.history[epoch_reports]]))
+
+
+def test_training_and_gradcheck_share_the_finetune_loss(monkeypatch):
+    _, wtrain, _, graph, cfg = mini_setup()
+    calls = []
+    shared = losses.loss_finetune
+
+    def recording(y_hat, y, lambda_m):
+        calls.append(lambda_m)
+        return shared(y_hat, y, lambda_m)
+
+    monkeypatch.setattr(losses, "loss_finetune", recording)
+    params = model.init_params(cfg, seed=4)
+    train.finetune(params, wtrain[:2], [], graph, cfg, fast_train_cfg(epochs=1, lambda_m=0.7))
+    assert calls == [0.7, 0.7]
+    checks.finetune_loss_fn(wtrain[0], graph, cfg, lambda_m=0.2)(params)
+    assert calls[-1] == 0.2
 
 
 def test_pretrain_aborts_on_non_finite_loss_with_seed():
