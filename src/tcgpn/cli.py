@@ -231,10 +231,10 @@ def cmd_build_graph(args, values) -> int:
 
 def cmd_pretrain(args, values) -> int:
     windows, graph, model_cfg = _prepare(args, values)
+    train_cfg = config.to_train_config(values, "pretrain")
     run_dir = _make_run_dir(args.out, values["seed"])
     config.dump(values, run_dir / "config.txt")
     _hash_inputs(run_dir, [args.data, args.graph])
-    train_cfg = config.to_train_config(values, "pretrain")
     result = train.pretrain(windows[0], windows[1], graph, model_cfg, train_cfg,
                             run_dir=run_dir, verbose=True)
     print(f"pretrain done: best validation loss {result.best_val:.6f}; "
@@ -244,14 +244,14 @@ def cmd_pretrain(args, values) -> int:
 
 def cmd_finetune(args, values) -> int:
     windows, graph, model_cfg = _prepare(args, values)
-    run_dir = _make_run_dir(args.out, values["seed"])
-    config.dump(values, run_dir / "config.txt")
-    _hash_inputs(run_dir, [args.checkpoint, args.data, args.graph])
+    train_cfg = config.to_train_config(values, "finetune")
     try:
         params, model_cfg = train.load_pretrained(args.checkpoint, model_cfg)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    train_cfg = config.to_train_config(values, "finetune")
+    run_dir = _make_run_dir(args.out, values["seed"])
+    config.dump(values, run_dir / "config.txt")
+    _hash_inputs(run_dir, [args.checkpoint, args.data, args.graph])
     result = train.finetune(params, windows[0], windows[1], graph, model_cfg, train_cfg,
                             run_dir=run_dir, verbose=True)
     print(f"finetune done: best validation IC {result.best_val:.4f}; "

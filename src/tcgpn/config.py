@@ -176,21 +176,24 @@ def to_model_config(values: dict[str, Any], n_features: int) -> ModelConfig:
 
 
 def to_train_config(values: dict[str, Any], phase: str = "pretrain") -> TrainConfig:
-    return TrainConfig(
-        epochs=values["epochs"] if phase == "pretrain" else values["finetune_epochs"],
-        batch_size=values["batch_size"],
-        n_sub=values["n_sub"],
-        r_t=values["r_t"],
-        r_g=values["r_g"],
-        beta=values["beta"],
-        lambda_m=values["lambda_m"],
-        learning_rate=values["lr"],
-        seed=values["seed"],
-        early_stop_patience=values["early_stop_patience"],
-        freeze_encoder=values["freeze_encoder"],
-        use_temporal_loss=values["use_temporal_loss"],
-        use_graph_loss=values["use_graph_loss"],
-        alternate_tasks=values["alternate_tasks"],
-        span_mode=values["span_mode"],
-        mask_mode=values["mask_mode"],
-    )
+    try:
+        return TrainConfig(
+            epochs=values["epochs"] if phase == "pretrain" else values["finetune_epochs"],
+            batch_size=values["batch_size"],
+            n_sub=values["n_sub"],
+            r_t=values["r_t"],
+            r_g=values["r_g"],
+            beta=values["beta"],
+            lambda_m=values["lambda_m"],
+            learning_rate=values["lr"],
+            seed=values["seed"],
+            early_stop_patience=values["early_stop_patience"],
+            freeze_encoder=values["freeze_encoder"],
+            use_temporal_loss=values["use_temporal_loss"],
+            use_graph_loss=values["use_graph_loss"],
+            alternate_tasks=values["alternate_tasks"],
+            span_mode=values["span_mode"],
+            mask_mode=values["mask_mode"],
+        )
+    except ValueError as e:
+        raise ConfigError(str(e)) from None

@@ -7,16 +7,16 @@ transformer blocks whose attention is damped by a Gaussian decay over time
 distance. Decoders reconstruct the masked series and the adjacency; the
 fine-tune head reads out one score per node.
 
-Causality is enforced with hard zeros: future positions are excluded from
-the attention row max, get exp(-inf) = 0 weight, and therefore cannot move
-earlier outputs even at the bit level.
+Causality is enforced with hard zeros: `tc.decay_softmax` excludes future
+positions from the attention row max and gives them exp(-inf) = 0 weight,
+so they cannot move earlier outputs even at the bit level.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,15 +61,7 @@ class ModelConfig:
         return self.gat_heads * self.gat_dim if self.use_gat else self.d_model
 
     def to_dict(self) -> dict:
-        return {
-            "n_features": self.n_features, "d_model": self.d_model,
-            "gat_heads": self.gat_heads, "gat_dim": self.gat_dim,
-            "tgm_blocks": self.tgm_blocks, "tgm_heads": self.tgm_heads,
-            "sigma_h": self.sigma_h, "window": self.window,
-            "leaky_slope": self.leaky_slope, "d_a": self.d_a,
-            "ffn_hidden": self.ffn_hidden, "head_hidden": self.head_hidden,
-            "decoder_blocks": self.decoder_blocks, "use_gat": self.use_gat,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -93,7 +85,7 @@ def _block_shapes(prefix: str, cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {}
     for name in ("wq", "wk", "wv", "wo"):
         shapes[f"{prefix}.attn.{name}"] = (d, d)
-    for name in ("bq", "bk", "bv", "bo"):
+    for name in ("bq", "bv", "bo"):  # no key bias: the row softmax cancels q.bk
         shapes[f"{prefix}.attn.{name}"] = (d,)
     shapes[f"{prefix}.ln1.gamma"] = (d,)
     shapes[f"{prefix}.ln1.beta"] = (d,)
@@ -142,7 +134,7 @@ def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamStore
     for path, shape in param_shapes(cfg).items():
         if path.endswith(("gamma",)):
             store.add(path, shape, "ones")
-        elif path.endswith(("bias", "beta", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
+        elif path.endswith(("bias", "beta", ".b1", ".b2", ".bq", ".bv", ".bo")):
             store.add(path, shape, "zeros")
         else:
             store.add(path, shape, "fan_in")
@@ -190,22 +182,6 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return tc.matmul(x, w) + b
 
 
-def _decay_softmax(scores: Tensor, decay: np.ndarray) -> Tensor:
-    """Softmax over the last axis reweighted by a non-negative constant mask.
-
-    Zero-mask positions are excluded exactly (they see -inf before the row
-    max, so changing their scores cannot perturb surviving weights even in
-    floating point). Each row must keep at least one positive entry.
-    """
-    keep = decay > 0
-    shifted = tc.where_const(keep, scores, -np.inf)
-    row_max = np.max(shifted.data, axis=-1, keepdims=True)
-    e = tc.exp(shifted - row_max)
-    num = e * decay.astype(scores.data.dtype)
-    den = tc.sum(num, axis=-1, keepdims=True)
-    return num / den
-
-
 def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     mu = tc.mean(x, axis=-1, keepdims=True)
     centered = x - mu
@@ -251,7 +227,7 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
         e_src = tc.matmul(h, a_src)  # (N, T, 1)
         e_dst = tc.reshape(tc.transpose(tc.reshape(tc.matmul(h, a_dst), (n, t)), (1, 0)), (1, t, n))
         logits = tc.leaky_relu(e_src + e_dst, cfg.leaky_slope)  # (N, T, N): [i, t, j]
-        alpha = _decay_softmax(logits, keep.astype(np.float64))
+        alpha = tc.decay_softmax(logits, keep)
         mixed = tc.matmul(tc.transpose(alpha, (1, 0, 2)), tc.transpose(h, (1, 0, 2)))  # (T, N, g)
         heads.append(tc.transpose(mixed, (1, 0, 2)))
     z = heads[0] if len(heads) == 1 else tc.concat(heads, axis=2)
@@ -271,10 +247,10 @@ def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,
         return tc.transpose(tc.reshape(y, (n, t, n_heads, dk)), (0, 2, 1, 3))
 
     q = split_heads(_linear(x, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]))
-    k = split_heads(_linear(x, params[f"{prefix}.attn.wk"], params[f"{prefix}.attn.bk"]))
+    k = split_heads(tc.matmul(x, params[f"{prefix}.attn.wk"]))
     v = split_heads(_linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]))
     scores = tc.matmul(q, tc.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
-    weights = _decay_softmax(scores, decay)  # (N, H, T, T)
+    weights = tc.decay_softmax(scores, decay)  # (N, H, T, T)
     if attention_out is not None:
         attention_out.append(weights.data.copy())
     mixed = tc.reshape(tc.transpose(tc.matmul(weights, v), (0, 2, 1, 3)), (n, t, d))

@@ -11,6 +11,7 @@ from .tensor import (
     Tensor,
     add,
     concat,
+    decay_softmax,
     div,
     exp,
     leaky_relu,
@@ -22,12 +23,10 @@ from .tensor import (
     no_grad,
     relu,
     reshape,
-    softmax,
     sqrt,
     sub,
     sum,
     transpose,
-    where_const,
 )
 
 __all__ = [
@@ -40,6 +39,7 @@ __all__ = [
     "Tensor",
     "add",
     "concat",
+    "decay_softmax",
     "div",
     "exp",
     "forward_backward",
@@ -56,10 +56,8 @@ __all__ = [
     "relu",
     "reshape",
     "save_checkpoint",
-    "softmax",
     "sqrt",
     "sub",
     "sum",
     "transpose",
-    "where_const",
 ]

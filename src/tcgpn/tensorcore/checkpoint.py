@@ -59,7 +59,12 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict | None]:
     start = _PREFIX + header_len
     if len(raw) < start:
         raise ValueError(f"{path}: checkpoint header is short ({len(raw) - _PREFIX} of {header_len} bytes)")
-    header = json.loads(raw[_PREFIX:start].decode("utf-8"))
+    try:
+        header = json.loads(raw[_PREFIX:start].decode("utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: checkpoint header is not JSON ({e})") from None
+    if not isinstance(header, dict) or not isinstance(header.get("entries"), list):
+        raise ValueError(f"{path}: checkpoint header has no entries list")
     payload = memoryview(raw)[start:]
     arrays: dict[str, np.ndarray] = {}
     end = 0

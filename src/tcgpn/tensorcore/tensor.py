@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 The primitive set is closed: add, sub, mul, div, neg, matmul, transpose,
-reshape, concat, exp, sqrt, relu, leaky_relu, softmax, sum, mean,
-where_const (constant-mask selection) and masked_select. Every primitive
-has an exact vector-Jacobian product, so any composition of them has exact
-gradients; the finite-difference checker in gradcheck.py verifies this.
+reshape, concat, exp, sqrt, relu, leaky_relu, decay_softmax (attention
+normalisation under a constant weight array), sum, mean and masked_select.
+Every primitive has an exact vector-Jacobian product, so any composition of
+them has exact gradients; the finite-difference checker in gradcheck.py
+verifies this.
 """
 
 from __future__ import annotations
@@ -346,14 +347,30 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     return _result(a.data * factor, (a,), (lambda g: g * factor,))
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def decay_softmax(a, decay: np.ndarray) -> Tensor:
+    """Softmax over the last axis reweighted by a non-negative constant
+    array: y_i = decay_i exp(a_i) / sum_j decay_j exp(a_j).
+
+    `decay` broadcasts against `a`; a boolean mask gives the plain masked
+    softmax. Zero-weight entries see -inf before the row max, so changing
+    their scores cannot move the surviving weights even at the bit level,
+    and they get exactly zero weight and zero gradient. Each row needs one
+    positive weight, or it comes out NaN.
+    """
     a = _coerce(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    decay = np.asarray(decay)
+    dtype = a.data.dtype
+    try:
+        y = np.where(decay > 0, a.data, dtype.type(-np.inf))
+    except ValueError as e:
+        raise ShapeError("decay_softmax", str(e)) from None
+    y -= np.max(y, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y *= decay.astype(dtype)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return y * (g - (g * y).sum(axis=axis, keepdims=True))
+        return _unbroadcast(y * (g - (g * y).sum(axis=-1, keepdims=True)), a.data.shape)
 
     return _result(y, (a,), (vjp,))
 
@@ -388,20 +405,6 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # masked selection ----------------------------------------------------------
-
-
-def where_const(mask: np.ndarray, a, fill: float) -> Tensor:
-    """Keep entries of `a` where the constant boolean mask is true, else fill.
-
-    The mask and fill are constants: gradients flow only to kept entries.
-    """
-    a = _coerce(a)
-    mask = np.asarray(mask, dtype=bool)
-    try:
-        data = np.where(mask, a.data, a.data.dtype.type(fill))
-    except ValueError as e:
-        raise ShapeError("where_const", str(e)) from None
-    return _result(data, (a,), (lambda g: _unbroadcast(g * mask, a.data.shape),))
 
 
 def masked_select(a, mask: np.ndarray) -> Tensor:

@@ -101,6 +101,7 @@ def _fit(phase: str, params: ParamStore, train_windows: list[WindowSample],
                 for p, t in params.items():
                     if t.grad is not None:
                         grads_total[p] = grads_total[p] + t.grad if p in grads_total else t.grad
+                del loss  # free this sample's graph before the next one's forward
                 reports.append(report)
             opt.step(params, {p: g * (1.0 / len(batch)) for p, g in grads_total.items()})
             result.history.append(losses.LossReport.merge(step, reports))

@@ -77,6 +77,18 @@ def test_load_pretrained_rejects_config_mismatch(tmp_path):
         train.load_pretrained(path, other)
 
 
+def test_load_pretrained_rejects_key_bias_checkpoint(tmp_path):
+    # attention keys carry no bias; checkpoints that hold one must be retrained
+    cfg = model.ModelConfig(n_features=3, d_model=8, gat_heads=2, gat_dim=4,
+                            tgm_blocks=1, tgm_heads=2, window=8, d_a=4)
+    params = model.init_params(cfg, seed=0)
+    params.add("enc.block0.attn.bk", (8,), "zeros")
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, params, config={"model": cfg.to_dict()})
+    with pytest.raises(ValueError, match=r"old\.ckpt.*does not match the model config"):
+        train.load_pretrained(path, cfg)
+
+
 def _saved(tmp_path):
     store = ParamStore(seed=0)
     store.add("w", (4,), "fan_in")
@@ -97,6 +109,21 @@ def test_unknown_dtype_code_rejected(tmp_path):
     path, raw = _saved(tmp_path)
     path.write_bytes(_with_header(raw, lambda h: h["entries"][0].update(dtype="<i8")))
     with pytest.raises(ValueError, match=r"x\.ckpt.*unknown dtype code '<i8'"):
+        load_checkpoint(path)
+
+
+def test_non_json_header_rejected(tmp_path):
+    path, raw = _saved(tmp_path)
+    (n,) = struct.unpack("<I", raw[8:12])
+    path.write_bytes(raw[:12] + b"{" * n + raw[12 + n:])
+    with pytest.raises(ValueError, match=r"x\.ckpt.*header is not JSON"):
+        load_checkpoint(path)
+
+
+def test_header_without_entries_rejected(tmp_path):
+    path, raw = _saved(tmp_path)
+    path.write_bytes(_with_header(raw, lambda h: h.pop("entries")))
+    with pytest.raises(ValueError, match=r"x\.ckpt.*no entries list"):
         load_checkpoint(path)
 
 

@@ -93,6 +93,17 @@ def test_checkpoint_config_mismatch_rejected(pipeline):
     assert code == 3
 
 
+@pytest.mark.parametrize("bad", [["--lambda_m", "-0.1"], ["--r_t", "1.0"], ["--batch_size", "0"]])
+def test_bad_training_value_exits_3_without_run_dir(pipeline, tmp_path, capsys, bad):
+    root, synth = pipeline
+    inputs = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]
+    for command in (["pretrain"], ["finetune", "--checkpoint", str(tmp_path / "absent.ckpt")]):
+        out = tmp_path / "runs"
+        assert dispatch(command + inputs + ["--out", str(out)] + TINY + bad) == 3
+        assert not out.exists()
+    assert "ValueError" not in capsys.readouterr().err
+
+
 def test_sweep_grid(pipeline):
     root, _ = pipeline
     out = root / "sweep"

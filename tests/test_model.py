@@ -110,7 +110,6 @@ def test_gat_attention_rows_sum_to_one():
     x, conn = random_inputs(cfg, n=5, seed=2)
     xt = fuse_and_position(x, params, cfg)
     keep = (conn | np.eye(5, dtype=bool))[:, None, :]
-    from tcgpn.model import _decay_softmax
     from tcgpn import tensorcore as tc
     h = tc.matmul(xt, params["gat.h0.weight"])
     g = cfg.gat_dim
@@ -121,7 +120,7 @@ def test_gat_attention_rows_sum_to_one():
     e_dst = tc.reshape(tc.transpose(tc.reshape(tc.matmul(h, a_dst), (5, cfg.window)), (1, 0)),
                        (1, cfg.window, 5))
     logits = tc.leaky_relu(e_src + e_dst, cfg.leaky_slope)
-    alpha = _decay_softmax(logits, keep.astype(np.float64))
+    alpha = tc.decay_softmax(logits, keep)
     sums = alpha.data.sum(axis=-1)
     assert np.allclose(sums, 1.0, atol=1e-6)
 
@@ -182,7 +181,7 @@ def test_tgm_wide_sigma_matches_plain_causal_attention():
     d, h = cfg.d_model, cfg.tgm_heads
     dk = d // h
     q = z @ params["enc.block0.attn.wq"].data + params["enc.block0.attn.bq"].data
-    k = z @ params["enc.block0.attn.wk"].data + params["enc.block0.attn.bk"].data
+    k = z @ params["enc.block0.attn.wk"].data
     q = q.reshape(2, cfg.window, h, dk).transpose(0, 2, 1, 3)
     k = k.reshape(2, cfg.window, h, dk).transpose(0, 2, 1, 3)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dk)

@@ -5,6 +5,7 @@ import pytest
 
 from tcgpn import tensorcore as tc
 from tcgpn.tensorcore import ParamStore, ShapeError, Tensor, forward_backward
+from tcgpn.tensorcore import tensor as tensor_mod
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -62,7 +63,7 @@ def test_shape_mismatch_names_op():
     ("sqrt", lambda t: tc.sum(tc.sqrt(t + 3.0))),
     ("relu", lambda t: tc.sum(tc.relu(t) * tc.relu(t))),
     ("leaky", lambda t: tc.sum(tc.leaky_relu(t, 0.2) * t)),
-    ("softmax", lambda t: tc.sum(tc.softmax(t, axis=-1) * t)),
+    ("softmax", lambda t: tc.sum(tc.decay_softmax(t, np.ones(t.shape)) * t)),
     ("mean", lambda t: tc.mean(t * t)),
     ("div", lambda t: tc.sum(t / (t * t + 1.0))),
     ("transpose", lambda t: tc.sum(tc.transpose(t, (1, 0)) @ t)),
@@ -107,11 +108,13 @@ def test_concat_grads():
     assert np.allclose(grad, num, rtol=1e-5, atol=1e-7)
 
 
-def test_where_const_and_masked_select_route_gradients():
-    x = Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]), requires_grad=True)
-    mask = np.array([[True, False], [False, True]])
-    tc.sum(tc.where_const(mask, x, 0.0) * 3.0).backward()
-    assert np.array_equal(x.grad, np.where(mask, 3.0, 0.0))
+def test_decay_softmax_and_masked_select_route_gradients():
+    x = Tensor(np.array([[1.0, -2.0, 0.5], [3.0, 4.0, -1.0]]), requires_grad=True)
+    mask = np.array([[True, False, True], [False, True, True]])
+    weights = np.where(mask, [[0.5, 1.0, 2.0]], 0.0)
+    tc.sum(tc.decay_softmax(x, weights) * np.array([1.0, 2.0, 3.0])).backward()
+    assert np.all(x.grad[~mask] == 0.0)  # exactly zero, not rounding noise
+    assert np.all(x.grad[mask] != 0.0)
 
     x.zero_grad()
     tc.sum(tc.masked_select(x * x, mask)).backward()
@@ -123,8 +126,63 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
     for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
         x = Tensor(rng.normal(size=(5, 7)).astype(dtype) * 10)
-        y = tc.softmax(x, axis=-1)
+        y = tc.decay_softmax(x, np.ones((5, 7)))
         assert np.allclose(y.data.sum(axis=-1), 1.0, atol=tol)
+
+
+def _six_node_decay_softmax(scores: Tensor, decay: np.ndarray) -> Tensor:
+    """Reference: the decay softmax composed from single-purpose nodes
+    (constant-mask select, sub, exp, mul, sum, div)."""
+    keep = decay > 0
+    selected = np.where(keep, scores.data, scores.data.dtype.type(-np.inf))
+    shifted = tensor_mod._result(selected, (scores,), (lambda g: g * keep,))
+    row_max = np.max(shifted.data, axis=-1, keepdims=True)
+    e = tc.exp(shifted - row_max)
+    num = e * decay.astype(scores.data.dtype)
+    den = tc.sum(num, axis=-1, keepdims=True)
+    return num / den
+
+
+def _attention_cases(rng):
+    """(scores shape, decay) pairs as the encoder uses them: a causal decay
+    over time broadcast across nodes and heads, and a boolean neighbour mask
+    broadcast across time steps."""
+    i, j = np.arange(6)[:, None], np.arange(6)[None, :]
+    causal = np.where(j > i, 0.0, np.exp(-((j - i) ** 2) / 4.5))
+    neighbours = rng.uniform(size=(5, 1, 5)) < 0.5
+    neighbours |= np.eye(5, dtype=bool)[:, None, :]
+    return [((3, 2, 6, 6), causal), ((5, 4, 5), neighbours)]
+
+
+def test_decay_softmax_equals_six_node_composition():
+    rng = np.random.default_rng(21)
+    for shape, decay in _attention_cases(rng):
+        for dtype in (np.float32, np.float64):
+            raw = (rng.normal(size=shape) * 3).astype(dtype)
+            fused = tc.decay_softmax(Tensor(raw), decay).data
+            assert fused.dtype == dtype
+            assert np.array_equal(fused, _six_node_decay_softmax(Tensor(raw), decay).data)
+
+        raw = rng.normal(size=shape) * 3
+        upstream = rng.normal(size=shape)
+        grads = []
+        for softmax in (tc.decay_softmax, _six_node_decay_softmax):
+            x = Tensor(raw.copy(), requires_grad=True)
+            tc.sum(softmax(x, decay) * upstream).backward()
+            grads.append(x.grad)
+        assert np.abs(grads[0] - grads[1]).max() < 1e-12
+
+
+def test_decay_softmax_zero_weight_scores_cannot_move_output():
+    rng = np.random.default_rng(22)
+    for shape, decay in _attention_cases(rng):
+        raw = rng.normal(size=shape).astype(np.float32)
+        base = tc.decay_softmax(Tensor(raw), decay).data
+        dropped = np.broadcast_to(decay <= 0, shape)
+        moved = raw.copy()
+        moved[dropped] += rng.normal(0, 100, size=int(dropped.sum())).astype(np.float32)
+        assert np.array_equal(tc.decay_softmax(Tensor(moved), decay).data, base)
+        assert np.all(base[dropped] == 0.0)
 
 
 def test_grad_accumulates_across_reuse():

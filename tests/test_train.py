@@ -1,12 +1,14 @@
 """Training loops: determinism, frozen-encoder contract, prediction output,
 baselines. Uses a miniature synthetic setup to stay fast."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from tcgpn import checks, data, losses, model, train
 from tcgpn.data import SyntheticSpec, gen_synthetic, split_by_fraction, window_samples
-from tcgpn.tensorcore import load_checkpoint
+from tcgpn.tensorcore import load_checkpoint, memory
 
 
 def mini_setup(seed=0, d=70, t=12):
@@ -229,6 +231,21 @@ def test_training_and_gradcheck_share_the_finetune_loss(monkeypatch):
     assert calls == [0.7, 0.7]
     checks.finetune_loss_fn(wtrain[0], graph, cfg, lambda_m=0.2)(params)
     assert calls[-1] == 0.2
+
+
+def test_pretrain_peak_memory_does_not_grow_with_batch():
+    # each sample's autodiff graph is freed before the next sample's forward
+    _, wtrain, _, graph, cfg = mini_setup()
+
+    def peak(windows) -> int:
+        gc.collect()
+        memory.reset_peak()
+        base = memory.live_bytes()
+        train.pretrain(windows, [], graph, cfg, fast_train_cfg(epochs=1, batch_size=4))
+        return memory.peak_bytes() - base
+
+    one, four = peak(wtrain[:1]), peak(wtrain[:4])
+    assert four < 1.2 * one, (four, one)
 
 
 def test_pretrain_aborts_on_non_finite_loss_with_seed():
