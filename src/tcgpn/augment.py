@@ -1,5 +1,5 @@
 """Pretraining augmentations: node random sampling and contiguous-span
-temporal masking. Graph masking lives in graphs.mask_and_normalize; a
+temporal masking. Graph masking lives in graphs.mask_edges; a
 MaskedSample bundles all three for one training example.
 """
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import WindowSample
-from .graphs import CorrelationGraph, MaskedGraph, mask_and_normalize
+from .graphs import CorrelationGraph, MaskedGraph, mask_edges
 
 
 @dataclass
@@ -23,8 +23,6 @@ class MaskedPanel:
 
     values: np.ndarray  # (N, T, F)
     mask_positions: np.ndarray  # (N, T) bool
-    span_starts: np.ndarray  # (N,), -1 when nothing was masked
-    mask_rate: float
 
 
 @dataclass
@@ -36,7 +34,6 @@ class MaskedSample:
     graph: MaskedGraph
     original_values: np.ndarray  # (N, T, F)
     original_weights: np.ndarray  # (N, N)
-    node_ids: list[str]
 
 
 def sample_nodes(window: WindowSample, graph: CorrelationGraph, n_sub: int,
@@ -68,47 +65,35 @@ def _subset(window: WindowSample, graph: CorrelationGraph,
     return sub_window, graph.subgraph(idx)
 
 
-def mask_temporal(window: WindowSample, r_t: float, seed: int,
-                  span_mode: str = "per_node") -> MaskedPanel:
-    """Hide floor(r_t * T) contiguous steps per node, start drawn uniformly.
-    span_mode "per_node" draws each node's start independently (neighbors
-    then still observe what a node is missing); "shared" uses one start."""
+def mask_temporal(window: WindowSample, r_t: float, seed: int) -> MaskedPanel:
+    """Hide floor(r_t * T) contiguous steps per node. Each node's start is
+    drawn uniformly and independently, so neighbors still observe what a
+    node is missing."""
     if not 0.0 <= r_t < 1.0:
         raise ValueError(f"r_t must be in [0, 1), got {r_t}")
     n, t = window.panel.shape[:2]
     span = int(np.floor(r_t * t))
     values = window.panel.copy()
     mask = np.zeros((n, t), dtype=bool)
-    starts = np.full(n, -1, dtype=int)
     if span > 0:
-        rng = np.random.default_rng(seed)
-        if span_mode == "per_node":
-            starts = rng.integers(0, t - span + 1, size=n)
-        elif span_mode == "shared":
-            starts = np.full(n, rng.integers(0, t - span + 1))
-        else:
-            raise ValueError(f"unknown span_mode: {span_mode}")
+        starts = np.random.default_rng(seed).integers(0, t - span + 1, size=n)
         for i in range(n):
             mask[i, starts[i]:starts[i] + span] = True
         values[mask] = 0.0
-    return MaskedPanel(values=values, mask_positions=mask, span_starts=starts, mask_rate=r_t)
+    return MaskedPanel(values=values, mask_positions=mask)
 
 
 def make_masked_sample(window: WindowSample, graph: CorrelationGraph, r_t: float,
-                       r_g: float, seed: int, n_sub: int | None = None,
-                       span_mode: str = "per_node", mask_mode: str = "edge") -> MaskedSample:
+                       r_g: float, seed: int, n_sub: int | None = None) -> MaskedSample:
     """Compose node sampling, temporal masking and graph masking with
     deterministic per-stage seeds derived from `seed`."""
     ss = np.random.SeedSequence(seed).spawn(3)
     seeds = [int(s.generate_state(1)[0]) for s in ss]
     if n_sub is not None and n_sub < window.n_nodes:
         window, graph = sample_nodes(window, graph, n_sub, seeds[0])
-    panel = mask_temporal(window, r_t, seeds[1], span_mode=span_mode)
-    masked_graph = mask_and_normalize(graph, r_g, seeds[2], mask_mode=mask_mode)
     return MaskedSample(
-        panel=panel,
-        graph=masked_graph,
+        panel=mask_temporal(window, r_t, seeds[1]),
+        graph=mask_edges(graph, r_g, seeds[2]),
         original_values=window.panel,
         original_weights=graph.weights,
-        node_ids=list(window.node_ids),
     )

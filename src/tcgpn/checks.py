@@ -11,7 +11,7 @@ import numpy as np
 
 from . import augment, losses, model, train
 from .data import WindowSample
-from .graphs import CorrelationGraph, mask_and_normalize
+from .graphs import CorrelationGraph, mask_edges
 from .tensorcore import GradCheckReport, ParamStore, grad_check
 
 SIZES = {
@@ -50,10 +50,9 @@ def make_check_sample(cfg: model.ModelConfig, n_nodes: int, seed: int = 0,
                           node_ids=list(graph.node_ids))
     sample = augment.MaskedSample(
         panel=augment.mask_temporal(window, r_t, seed + 1),
-        graph=mask_and_normalize(graph, r_g, seed + 2),
+        graph=mask_edges(graph, r_g, seed + 2),
         original_values=window.panel,
         original_weights=graph.weights,
-        node_ids=list(window.node_ids),
     )
     return sample, window, graph
 

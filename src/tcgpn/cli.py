@@ -182,17 +182,9 @@ def _prepare(args, values):
 
 
 def cmd_synth_data(args, values) -> int:
+    panel, truth = data.gen_synthetic(config.to_synthetic_spec(values))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = data.SyntheticSpec(
-        n_clusters=values["synth_clusters"],
-        nodes_per_cluster=values["synth_nodes_per_cluster"],
-        lag=values["synth_lag"],
-        noise_std=values["synth_noise_std"],
-        length=values["synth_length"],
-        seed=values["seed"],
-    )
-    panel, truth = data.gen_synthetic(spec)
     data.save_panel(out / "panel.csv", panel)
     data.save_returns(out / "returns.csv", panel)
     graphs.save_graph(out / "graph.txt", truth)
@@ -209,13 +201,7 @@ def cmd_build_graph(args, values) -> int:
     else:
         if not args.meta:
             raise ConfigError("industry graph needs --meta metadata CSV")
-        rows = []
-        import csv as _csv
-        with open(args.meta, newline="", encoding="utf-8") as fh:
-            reader = _csv.DictReader(fh)
-            for rec in reader:
-                rows.append((rec["symbol"], rec["industry"],
-                             float(rec["registered_capital"]), float(rec["turnover"])))
+        rows = graphs.load_industry_metadata(args.meta)
         order = {nid: i for i, nid in enumerate(panel.node_ids)}
         unknown = [r[0] for r in rows if r[0] not in order]
         if unknown:
@@ -313,11 +299,7 @@ def _sweep_point(payload) -> dict:
     values, point, out_dir = payload
     merged = dict(values)
     merged.update(point)
-    spec = data.SyntheticSpec(
-        n_clusters=merged["synth_clusters"], nodes_per_cluster=merged["synth_nodes_per_cluster"],
-        lag=merged["synth_lag"], noise_std=merged["synth_noise_std"],
-        length=merged["synth_length"], seed=merged["seed"])
-    panel, graph = data.gen_synthetic(spec)
+    panel, graph = data.gen_synthetic(config.to_synthetic_spec(merged))
     windows, model_cfg = _split_windows(panel, merged)
     pre_cfg = config.to_train_config(merged, "pretrain")
     fine_cfg = config.to_train_config(merged, "finetune")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from .data import SyntheticSpec
 from .model import ModelConfig
 from .train import TrainConfig
 
@@ -64,14 +65,11 @@ KEY_TABLE: dict[str, Key] = {k.name: k for k in [
     Key("r_t", float, 0.3, "temporal mask rate"),
     Key("r_g", float, 0.3, "graph mask rate"),
     Key("n_sub", int, 0, "nodes per sampled sub-sample (0 = all)"),
-    Key("span_mode", str, "per_node", "temporal mask span: per_node or shared"),
-    Key("mask_mode", str, "edge", "graph mask granularity: edge or node"),
     # losses
     Key("beta", float, 1.0, "graph-loss weight in pretraining"),
     Key("lambda_m", float, 0.3, "MSE weight in fine-tuning"),
     Key("use_temporal_loss", bool, True, "keep the temporal pretraining task"),
     Key("use_graph_loss", bool, True, "keep the graph pretraining task"),
-    Key("alternate_tasks", bool, False, "alternate the two tasks across steps"),
     # optimization
     Key("lr", float, 1e-3, "Adam learning rate"),
     Key("batch_size", int, 8, "windows per optimizer step"),
@@ -156,8 +154,29 @@ def dump(values: dict[str, Any], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _construct(cls, **fields):
+    """cls(**fields), reporting the dataclass's own validation as a ConfigError."""
+    try:
+        return cls(**fields)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
+def to_synthetic_spec(values: dict[str, Any]) -> SyntheticSpec:
+    return _construct(
+        SyntheticSpec,
+        n_clusters=values["synth_clusters"],
+        nodes_per_cluster=values["synth_nodes_per_cluster"],
+        lag=values["synth_lag"],
+        noise_std=values["synth_noise_std"],
+        length=values["synth_length"],
+        seed=values["seed"],
+    )
+
+
 def to_model_config(values: dict[str, Any], n_features: int) -> ModelConfig:
-    return ModelConfig(
+    return _construct(
+        ModelConfig,
         n_features=n_features,
         d_model=values["d_model"],
         gat_heads=values["gat_heads"],
@@ -176,24 +195,19 @@ def to_model_config(values: dict[str, Any], n_features: int) -> ModelConfig:
 
 
 def to_train_config(values: dict[str, Any], phase: str = "pretrain") -> TrainConfig:
-    try:
-        return TrainConfig(
-            epochs=values["epochs"] if phase == "pretrain" else values["finetune_epochs"],
-            batch_size=values["batch_size"],
-            n_sub=values["n_sub"],
-            r_t=values["r_t"],
-            r_g=values["r_g"],
-            beta=values["beta"],
-            lambda_m=values["lambda_m"],
-            learning_rate=values["lr"],
-            seed=values["seed"],
-            early_stop_patience=values["early_stop_patience"],
-            freeze_encoder=values["freeze_encoder"],
-            use_temporal_loss=values["use_temporal_loss"],
-            use_graph_loss=values["use_graph_loss"],
-            alternate_tasks=values["alternate_tasks"],
-            span_mode=values["span_mode"],
-            mask_mode=values["mask_mode"],
-        )
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    return _construct(
+        TrainConfig,
+        epochs=values["epochs"] if phase == "pretrain" else values["finetune_epochs"],
+        batch_size=values["batch_size"],
+        n_sub=values["n_sub"],
+        r_t=values["r_t"],
+        r_g=values["r_g"],
+        beta=values["beta"],
+        lambda_m=values["lambda_m"],
+        learning_rate=values["lr"],
+        seed=values["seed"],
+        early_stop_patience=values["early_stop_patience"],
+        freeze_encoder=values["freeze_encoder"],
+        use_temporal_loss=values["use_temporal_loss"],
+        use_graph_loss=values["use_graph_loss"],
+    )

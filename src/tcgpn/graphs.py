@@ -1,9 +1,10 @@
 """Correlation graphs over time-series nodes: industry and distance graph
-construction, edge masking with row renormalization, and a text file format.
+construction, edge masking, and a text file format.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -51,19 +52,17 @@ class CorrelationGraph:
 class MaskedGraph:
     """A graph with some edges hidden from the model input.
 
-    input_weights is the masked, row-normalized adjacency fed to the model;
     mask_kept is false exactly at the hidden entries, so reconstruction can
     be supervised on everything the model was allowed to see.
     """
 
     base: CorrelationGraph
-    input_weights: np.ndarray  # (N, N), rows with support sum to 1
     mask_kept: np.ndarray  # (N, N) bool, False where masked
-    mask_rate: float
 
     def connectivity(self) -> np.ndarray:
-        """Boolean adjacency the attention layer may use (no self-loops)."""
-        return self.input_weights != 0
+        """Boolean adjacency the attention layer may use (no self-loops):
+        the base graph's edges minus the hidden ones."""
+        return (self.base.weights != 0) & self.mask_kept
 
 
 def build_industry_graph(nodes: Sequence[tuple[str, str, float, float]]) -> CorrelationGraph:
@@ -120,43 +119,17 @@ def build_distance_graph(panel, k_neighbors: int) -> CorrelationGraph:
                             node_ids=list(panel.node_ids))
 
 
-def mask_and_normalize(graph: CorrelationGraph, r_g: float, seed: int,
-                       mask_mode: str = "edge") -> MaskedGraph:
-    """Hide a fraction r_g of the graph from the model input and row-normalize
-    the survivors. mask_mode "edge" hides individual nonzero entries;
-    "node" hides whole rows."""
+def mask_edges(graph: CorrelationGraph, r_g: float, seed: int) -> MaskedGraph:
+    """Hide floor(r_g * E) of the graph's E nonzero entries from the model
+    input, drawn uniformly without replacement."""
     if not 0.0 <= r_g < 1.0:
         raise ValueError(f"r_g must be in [0, 1), got {r_g}")
     rng = np.random.default_rng(seed)
-    n = graph.n_nodes
-    if mask_mode == "edge":
-        rows, cols = np.nonzero(graph.weights)
-        n_mask = int(np.floor(r_g * len(rows)))
-        chosen = rng.choice(len(rows), size=n_mask, replace=False) if n_mask else np.array([], dtype=int)
-        masked = (rows[chosen], cols[chosen])
-    elif mask_mode == "node":
-        n_mask = int(np.floor(r_g * n))
-        picked = rng.choice(n, size=n_mask, replace=False) if n_mask else np.array([], dtype=int)
-        row_idx = np.repeat(picked, n)
-        col_idx = np.tile(np.arange(n), len(picked))
-        masked = (row_idx, col_idx)
-    else:
-        raise ValueError(f"unknown mask_mode: {mask_mode}")
-    return _apply_mask(graph, masked, r_g)
-
-
-def _apply_mask(graph: CorrelationGraph, masked_idx: tuple[np.ndarray, np.ndarray],
-                r_g: float) -> MaskedGraph:
-    """Zero the given entries in a copy of the adjacency, then normalize each
-    surviving row to sum 1. Split out so property tests can replay an exact
-    edge set (e.g. under node permutation)."""
-    input_weights = graph.weights.copy()
-    mask_kept = np.ones_like(input_weights, dtype=bool)
-    input_weights[masked_idx] = 0.0
-    mask_kept[masked_idx] = False
-    row_sums = input_weights.sum(axis=1, keepdims=True)
-    np.divide(input_weights, row_sums, out=input_weights, where=row_sums > 0)
-    return MaskedGraph(base=graph, input_weights=input_weights, mask_kept=mask_kept, mask_rate=r_g)
+    rows, cols = np.nonzero(graph.weights)
+    chosen = rng.choice(len(rows), size=int(np.floor(r_g * len(rows))), replace=False)
+    mask_kept = np.ones(graph.weights.shape, dtype=bool)
+    mask_kept[rows[chosen], cols[chosen]] = False
+    return MaskedGraph(base=graph, mask_kept=mask_kept)
 
 
 # file format ----------------------------------------------------------------
@@ -204,3 +177,33 @@ def load_graph(path: str | Path, node_ids: Sequence[str]) -> CorrelationGraph:
         if not directed:
             weights[index[dst], index[src]] = value
     return CorrelationGraph(n_nodes=n, weights=weights, directed=directed, node_ids=list(node_ids))
+
+
+_INDUSTRY_COLUMNS = ("symbol", "industry", "registered_capital", "turnover")
+
+
+def load_industry_metadata(path: str | Path) -> list[tuple[str, str, float, float]]:
+    """Read an industry metadata CSV with header columns symbol, industry,
+    registered_capital and turnover (in any order) into build_industry_graph
+    rows; both numbers must be finite and positive."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in _INDUSTRY_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}:1: missing column {', '.join(missing)}")
+        for rec in reader:
+            where = f"{path}:{reader.line_num}"
+            if any(rec[c] is None for c in _INDUSTRY_COLUMNS):
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+            numbers = []
+            for col in _INDUSTRY_COLUMNS[2:]:
+                try:
+                    value = float(rec[col])
+                except ValueError:
+                    value = np.nan
+                if not 0 < value < np.inf:
+                    raise ValueError(f"{where}: bad {col} {rec[col]!r}")
+                numbers.append(value)
+            rows.append((rec["symbol"], rec["industry"], *numbers))
+    return rows

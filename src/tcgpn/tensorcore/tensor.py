@@ -10,7 +10,6 @@ verifies this.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,7 +50,7 @@ class Tensor:
     walks the graph once and accumulates gradients in a deterministic order.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_nbytes")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -63,7 +62,13 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
         memory.note_alloc(arr.nbytes)
-        weakref.finalize(self, memory.note_free, arr.nbytes)
+        self._nbytes = arr.nbytes
+
+    def __del__(self):
+        try:
+            memory.note_free(self._nbytes)
+        except AttributeError:  # construction failed before the buffer was counted
+            pass
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -163,7 +168,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], vjps: Sequence[Callable
         out._parents = ()
         out._vjps = ()
     memory.note_alloc(data.nbytes)
-    weakref.finalize(out, memory.note_free, data.nbytes)
+    out._nbytes = data.nbytes
     return out
 
 

@@ -40,9 +40,6 @@ class TrainConfig:
     freeze_encoder: bool = True
     use_temporal_loss: bool = True
     use_graph_loss: bool = True
-    alternate_tasks: bool = False
-    span_mode: str = "per_node"
-    mask_mode: str = "edge"
 
     def __post_init__(self):
         if not (0 <= self.r_t < 1 and 0 <= self.r_g < 1):
@@ -60,6 +57,10 @@ class TrainResult:
     val_history: list[tuple[int, float]] = field(default_factory=list)
     best_val: float = np.nan
     checkpoint_path: str | None = None
+
+
+# Seed component that keeps validation masks apart from every training mask.
+_VALIDATION_MASK_SEED = 999_983
 
 
 def _derive_seed(*parts: int) -> int:
@@ -137,17 +138,16 @@ def _fit(phase: str, params: ParamStore, train_windows: list[WindowSample],
 
 
 def pretrain_sample_losses(sample: augment.MaskedSample, params: ParamStore,
-                           model_cfg: model.ModelConfig, cfg: TrainConfig,
-                           want_temporal: bool = True, want_graph: bool = True):
+                           model_cfg: model.ModelConfig, cfg: TrainConfig):
     """Forward one masked sample through encoder and decoders; returns
     (combined, l_t, l_g) loss tensors (either task may be None)."""
     out = model.encoder_forward(sample.panel.values, sample.graph.connectivity(), params, model_cfg)
     l_t = None
     l_g = None
-    if want_temporal and cfg.use_temporal_loss and sample.panel.mask_positions.any():
+    if cfg.use_temporal_loss and sample.panel.mask_positions.any():
         x_r = model.temporal_decoder(out, params, model_cfg)
         l_t = losses.loss_temporal(sample.original_values, x_r, sample.panel.mask_positions)
-    if want_graph and cfg.use_graph_loss:
+    if cfg.use_graph_loss:
         a_hat = model.adjacency_decoder(out, params)
         l_g = losses.loss_graph(sample.original_weights, a_hat, sample.graph.mask_kept)
     combined = losses.loss_pretrain(l_t, l_g, cfg.beta)
@@ -157,9 +157,7 @@ def pretrain_sample_losses(sample: augment.MaskedSample, params: ParamStore,
 def _make_sample(window: WindowSample, graph: CorrelationGraph, cfg: TrainConfig,
                  seed: int) -> augment.MaskedSample:
     n_sub = cfg.n_sub if 0 < cfg.n_sub < window.n_nodes else None
-    return augment.make_masked_sample(window, graph, cfg.r_t, cfg.r_g, seed,
-                                      n_sub=n_sub, span_mode=cfg.span_mode,
-                                      mask_mode=cfg.mask_mode)
+    return augment.make_masked_sample(window, graph, cfg.r_t, cfg.r_g, seed, n_sub=n_sub)
 
 
 def _pretrain_validation(windows: list[WindowSample], graph: CorrelationGraph,
@@ -169,7 +167,8 @@ def _pretrain_validation(windows: list[WindowSample], graph: CorrelationGraph,
     totals = []
     with no_grad():
         for i, window in enumerate(windows):
-            sample = _make_sample(window, graph, cfg, _derive_seed(cfg.seed, 999_983, i))
+            seed = _derive_seed(cfg.seed, _VALIDATION_MASK_SEED, i)
+            sample = _make_sample(window, graph, cfg, seed)
             combined, _, _ = pretrain_sample_losses(sample, params, model_cfg, cfg)
             totals.append(float(combined.data))
     return float(np.mean(totals))
@@ -186,11 +185,7 @@ def pretrain(train_windows: list[WindowSample], val_windows: list[WindowSample],
 
     def sample_loss(window: WindowSample, index: int, seed: int, step: int):
         sample = _make_sample(window, graph, cfg, seed)
-        # alternate_tasks trains the temporal task on even steps, the graph task on odd ones
-        want_t = not cfg.alternate_tasks or step % 2 == 0
-        want_g = not cfg.alternate_tasks or step % 2 == 1
-        combined, l_t, l_g = pretrain_sample_losses(sample, params, model_cfg, cfg,
-                                                    want_temporal=want_t, want_graph=want_g)
+        combined, l_t, l_g = pretrain_sample_losses(sample, params, model_cfg, cfg)
         report = losses.LossReport(step=step, l_pre=float(combined.data))
         if l_t is not None:
             report.l_t = float(l_t.data)
@@ -317,15 +312,15 @@ def persistence_ic(panel: TimePanel, windows: list[WindowSample]) -> float:
 
 def masked_reconstruction_mse(params: ParamStore, model_cfg: model.ModelConfig,
                               cfg: TrainConfig, windows: list[WindowSample],
-                              graph: CorrelationGraph, seed_offset: int = 999_983
-                              ) -> tuple[float, float]:
+                              graph: CorrelationGraph) -> tuple[float, float]:
     """Model reconstruction MSE at masked positions vs the mean-imputation
     baseline (fill each node's masked steps with its unmasked feature means),
-    on identical deterministic masks."""
+    on the deterministic masks that pretraining validation scores."""
     model_errs, baseline_errs = [], []
     with no_grad():
         for i, window in enumerate(windows):
-            sample = _make_sample(window, graph, cfg, _derive_seed(cfg.seed, seed_offset, i))
+            seed = _derive_seed(cfg.seed, _VALIDATION_MASK_SEED, i)
+            sample = _make_sample(window, graph, cfg, seed)
             mask = sample.panel.mask_positions
             if not mask.any():
                 continue

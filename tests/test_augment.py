@@ -70,7 +70,6 @@ def test_mask_zero_rate_is_identity():
     mp = mask_temporal(window, 0.0, seed=9)
     assert not mp.mask_positions.any()
     assert np.array_equal(mp.values, window.panel)
-    assert np.all(mp.span_starts == -1)
 
 
 def test_mask_span_length_thirty_percent_of_thirty_is_nine():
@@ -86,7 +85,7 @@ def test_mask_span_contiguous_and_zeroed():
     mp = mask_temporal(window, 0.4, seed=7)
     span = int(0.4 * window.window)
     for i in range(window.n_nodes):
-        s = mp.span_starts[i]
+        s = int(np.argmax(mp.mask_positions[i]))  # first hidden step
         assert mp.mask_positions[i, s:s + span].all()
         assert mp.mask_positions[i].sum() == span
         assert np.all(mp.values[i, s:s + span] == 0.0)
@@ -102,14 +101,8 @@ def test_mask_valid_start_range_boundaries():
     starts = set()
     for seed in range(300):
         mp = mask_temporal(window, 0.5, seed=seed)
-        starts.update(mp.span_starts.tolist())
+        starts.update(np.argmax(mp.mask_positions, axis=1).tolist())
     assert starts == set(range(0, 6))  # T=10, span 5: starts 0..5 inclusive
-
-
-def test_shared_span_mode():
-    window, _ = make_inputs()
-    mp = mask_temporal(window, 0.3, seed=5, span_mode="shared")
-    assert len(set(mp.span_starts.tolist())) == 1
 
 
 def test_thousand_draws_nearly_all_unique():
@@ -126,8 +119,9 @@ def test_thousand_draws_nearly_all_unique():
 def test_masked_sample_consistent_node_sets():
     window, graph = make_inputs()
     ms = make_masked_sample(window, graph, r_t=0.2, r_g=0.2, seed=11, n_sub=4)
-    assert len(ms.node_ids) == 4
+    assert len(ms.graph.base.node_ids) == 4
     assert ms.panel.values.shape[0] == 4
-    assert ms.graph.input_weights.shape == (4, 4)
-    assert ms.original_values.shape[0] == 4
-    assert ms.graph.base.node_ids == ms.node_ids
+    assert ms.graph.mask_kept.shape == (4, 4)
+    rows = [window.node_ids.index(nid) for nid in ms.graph.base.node_ids]
+    assert np.array_equal(ms.original_values, window.panel[rows])
+    assert np.array_equal(ms.original_weights, graph.weights[np.ix_(rows, rows)])

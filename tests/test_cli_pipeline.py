@@ -93,7 +93,8 @@ def test_checkpoint_config_mismatch_rejected(pipeline):
     assert code == 3
 
 
-@pytest.mark.parametrize("bad", [["--lambda_m", "-0.1"], ["--r_t", "1.0"], ["--batch_size", "0"]])
+@pytest.mark.parametrize("bad", [["--lambda_m", "-0.1"], ["--r_t", "1.0"], ["--batch_size", "0"],
+                                 ["--d_model", "8", "--tgm_heads", "3"]])
 def test_bad_training_value_exits_3_without_run_dir(pipeline, tmp_path, capsys, bad):
     root, synth = pipeline
     inputs = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]

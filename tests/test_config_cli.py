@@ -65,9 +65,13 @@ def test_cli_usage_errors_exit_2():
     assert dispatch([]) == 2
 
 
-def test_cli_config_errors_exit_3(tmp_path):
+def test_cli_config_errors_exit_3(tmp_path, capsys):
     out = tmp_path / "d"
-    assert dispatch(["synth-data", "--out", str(out), "--not_a_key", "1"]) == 3
+    for bad in (["--not_a_key", "1"], ["--synth_lag", "0"], ["--span_mode", "shared"],
+                ["--mask_mode", "node"], ["--alternate_tasks", "true"]):
+        assert dispatch(["synth-data", "--out", str(out)] + bad) == 3, bad
+        assert not out.exists()
+    assert "ValueError" not in capsys.readouterr().err
 
 
 def test_cli_synth_and_build_graph(tmp_path, capsys):

@@ -1,13 +1,12 @@
-"""Graph construction, masking + normalization, and the file format."""
+"""Graph construction, edge masking, and the file format."""
 
 import numpy as np
 import pytest
 
 from tcgpn import graphs
 from tcgpn.data import SyntheticSpec, gen_synthetic
-from tcgpn.graphs import (CorrelationGraph, _apply_mask, build_distance_graph,
-                          build_industry_graph, load_graph, mask_and_normalize,
-                          save_graph)
+from tcgpn.graphs import (CorrelationGraph, MaskedGraph, build_distance_graph,
+                          build_industry_graph, load_graph, mask_edges, save_graph)
 
 
 class FakePanel:
@@ -136,12 +135,12 @@ def _toy_graph():
     return CorrelationGraph(4, w, directed=True, node_ids=list("abcd"))
 
 
-def test_mask_rate_zero_is_pure_row_normalization():
+def test_mask_rate_zero_keeps_every_edge():
     g = CorrelationGraph(3, np.array([[0.0, 2.0, 2.0], [0, 0, 0], [1.0, 0, 0]]),
                          directed=True, node_ids=list("abc"))
-    m = mask_and_normalize(g, 0.0, seed=0)
-    assert np.allclose(m.input_weights[0], [0.0, 0.5, 0.5])
+    m = mask_edges(g, 0.0, seed=0)
     assert m.mask_kept.all()
+    assert np.array_equal(m.connectivity(), g.weights != 0)
     assert np.array_equal(g.weights[0], [0.0, 2.0, 2.0])  # base untouched
 
 
@@ -154,51 +153,36 @@ def test_mask_exact_count():
         w[off_diag[p]] = rng.uniform(0.5, 2.0)
     g = CorrelationGraph(10, w, directed=True, node_ids=[f"n{i}" for i in range(10)])
     assert g.nnz() == 40
-    m = mask_and_normalize(g, 0.3, seed=1)
+    m = mask_edges(g, 0.3, seed=1)
     assert (~m.mask_kept).sum() == 12  # floor(0.3 * 40)
 
 
-def test_mask_rows_renormalized_and_zeros_where_masked():
+def test_mask_connectivity_is_kept_edges_only():
     g = _toy_graph()
     for seed in range(8):
-        m = mask_and_normalize(g, 0.4, seed=seed)
-        assert np.all(m.input_weights[~m.mask_kept] == 0.0)
-        assert np.all(m.input_weights[g.weights == 0] == 0.0)
-        sums = m.input_weights.sum(axis=1)
-        for i in range(4):
-            if (m.input_weights[i] != 0).any():
-                assert sums[i] == pytest.approx(1.0, abs=1e-6)
+        m = mask_edges(g, 0.4, seed=seed)
+        conn = m.connectivity()
+        assert not conn[~m.mask_kept].any()
+        assert not conn[g.weights == 0].any()
+        assert conn[m.mask_kept & (g.weights != 0)].all()
+        assert m.mask_kept[g.weights == 0].all()  # only edges are hidden
 
 
 def test_mask_permutation_commutes_with_replayed_edge_set():
     g = _toy_graph()
     rng = np.random.default_rng(3)
     perm = rng.permutation(4)
-    rows, cols = np.nonzero(g.weights)
-    pick = rng.choice(len(rows), size=2, replace=False)
-    masked = (rows[pick], cols[pick])
+    direct = mask_edges(g, 0.5, seed=4)
 
-    direct = _apply_mask(g, masked, 0.3)
     permuted_graph = CorrelationGraph(4, g.weights[np.ix_(perm, perm)], directed=True,
                                       node_ids=[g.node_ids[i] for i in perm])
-    inv = np.argsort(perm)
-    masked_p = (inv[masked[0]], inv[masked[1]])
-    via_perm = _apply_mask(permuted_graph, masked_p, 0.3)
-    assert np.allclose(via_perm.input_weights, direct.input_weights[np.ix_(perm, perm)])
-    assert np.array_equal(via_perm.mask_kept, direct.mask_kept[np.ix_(perm, perm)])
-
-
-def test_mask_node_mode_blanks_rows():
-    g = _toy_graph()
-    m = mask_and_normalize(g, 0.5, seed=0, mask_mode="node")
-    blanked = np.flatnonzero(~m.mask_kept.all(axis=1))
-    assert len(blanked) == 2  # floor(0.5 * 4)
-    assert np.all(m.input_weights[blanked] == 0.0)
+    via_perm = MaskedGraph(permuted_graph, direct.mask_kept[np.ix_(perm, perm)])
+    assert np.array_equal(via_perm.connectivity(), direct.connectivity()[np.ix_(perm, perm)])
 
 
 def test_mask_rejects_bad_rate():
     with pytest.raises(ValueError):
-        mask_and_normalize(_toy_graph(), 1.0, seed=0)
+        mask_edges(_toy_graph(), 1.0, seed=0)
 
 
 # file format ---------------------------------------------------------------------
@@ -241,3 +225,28 @@ def test_graph_loader_validates_ids_and_header(tmp_path):
     unknown.write_text("tcgpn-graph v1 directed=1 n=4\nzz,b,1.0\n")
     with pytest.raises(ValueError, match="unknown node"):
         load_graph(unknown, g.node_ids)
+
+
+def test_industry_metadata_round_trip(tmp_path):
+    meta = tmp_path / "meta.csv"
+    meta.write_text("turnover,symbol,industry,registered_capital\n2.0,a,x,1.0\n4,b,x,2e0\n")
+    rows = graphs.load_industry_metadata(meta)
+    assert rows == [("a", "x", 1.0, 2.0), ("b", "x", 2.0, 4.0)]
+
+
+def test_industry_metadata_missing_column_names_file_and_line(tmp_path):
+    meta = tmp_path / "meta.csv"
+    meta.write_text("symbol,industry,registered_capital\na,x,1.0\n")
+    with pytest.raises(ValueError, match=r"meta\.csv:1: missing column turnover$"):
+        graphs.load_industry_metadata(meta)
+    meta.write_text("symbol,industry,registered_capital,turnover\na,x,1.0,2.0\nb,x,3.0\n")
+    with pytest.raises(ValueError, match=r"meta\.csv:3: expected 4 fields$"):
+        graphs.load_industry_metadata(meta)
+
+
+def test_industry_metadata_bad_number_names_file_and_line(tmp_path):
+    meta = tmp_path / "meta.csv"
+    for bad in ("abc", "nan", "-1", "0"):
+        meta.write_text(f"symbol,industry,registered_capital,turnover\na,x,1.0,2.0\nb,x,3.0,{bad}\n")
+        with pytest.raises(ValueError, match=rf"meta\.csv:3: bad turnover '{bad}'$"):
+            graphs.load_industry_metadata(meta)

@@ -229,3 +229,20 @@ def test_memory_counter_tracks_live_tensors():
     del keep
     gc.collect()
     assert memory.live_bytes() <= before + 100
+
+
+def test_failed_construction_is_collected_silently(monkeypatch):
+    from tcgpn.tensorcore import memory
+    import gc
+    import sys
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    before = memory.live_bytes()
+    try:
+        Tensor("not a number")
+    except ValueError:
+        pass
+    gc.collect()
+    assert unraisable == []
+    assert memory.live_bytes() == before

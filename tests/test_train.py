@@ -77,15 +77,6 @@ def test_pretrain_ablation_flags_drop_terms():
     assert all(r.l_t is None for r in res.history)
 
 
-def test_pretrain_alternating_tasks():
-    _, wtrain, wval, graph, cfg = mini_setup()
-    res = train.pretrain(wtrain, wval, graph, cfg,
-                         fast_train_cfg(epochs=1, batch_size=len(wtrain) // 2 + 1,
-                                        alternate_tasks=True))
-    kinds = [(r.l_t is not None, r.l_g is not None) for r in res.history]
-    assert kinds[0] == (True, False) and kinds[1] == (False, True)
-
-
 def test_node_subsampling_bounds_shapes():
     _, wtrain, wval, graph, cfg = mini_setup()
     res = train.pretrain(wtrain[:4], [], graph, cfg, fast_train_cfg(epochs=1, n_sub=4))
