@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_synth_data)
 
-    p = sub.add_parser("build-graph", help="build an industry or distance graph")
+    p = sub.add_parser("build-graph", help="build an industry or (training-split) distance graph")
     p.add_argument("--data", required=True, help="panel CSV")
     p.add_argument("--kind", choices=["distance", "industry"], required=True)
     p.add_argument("--meta", default=None, help="industry metadata CSV (symbol,industry,registered_capital,turnover)")
@@ -151,15 +151,19 @@ def _hash_inputs(run_dir: Path, paths: list[str | Path]) -> None:
     (run_dir / "inputs.sha256").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _split(panel: data.TimePanel, values):
+    """The (train, val, test) date split that split_mode selects."""
+    if values["split_mode"] == "year":
+        return data.split_by_year(panel, values["train_years"], values["val_years"], values["test_years"])
+    if values["split_mode"] == "fraction":
+        return data.split_by_fraction(panel, values["train_frac"], values["val_frac"])
+    raise ConfigError(f"unknown split_mode: {values['split_mode']}")
+
+
 def _split_windows(panel: data.TimePanel, values):
     """Split per split_mode, standardize with training-split stats and window
     each part; returns the (train, val, test) windows and the model config."""
-    if values["split_mode"] == "year":
-        parts = data.split_by_year(panel, values["train_years"], values["val_years"], values["test_years"])
-    elif values["split_mode"] == "fraction":
-        parts = data.split_by_fraction(panel, values["train_frac"], values["val_frac"])
-    else:
-        raise ConfigError(f"unknown split_mode: {values['split_mode']}")
+    parts = _split(panel, values)
     if values["standardize"]:
         stats = data.feature_stats(parts[0])
         parts = tuple(data.standardize(p, stats) for p in parts)
@@ -196,8 +200,8 @@ def cmd_synth_data(args, values) -> int:
 
 def cmd_build_graph(args, values) -> int:
     panel, _ = data.load_panel(args.data)
-    if args.kind == "distance":
-        graph = graphs.build_distance_graph(panel, values["knn_k"])
+    if args.kind == "distance":  # from the training dates only, so no later co-movement leaks in
+        graph = graphs.build_distance_graph(_split(panel, values)[0], values["knn_k"])
     else:
         if not args.meta:
             raise ConfigError("industry graph needs --meta metadata CSV")

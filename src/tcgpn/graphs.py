@@ -5,6 +5,7 @@ construction, edge masking, and a text file format.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -151,16 +152,16 @@ def save_graph(path: str | Path, graph: CorrelationGraph) -> None:
 def load_graph(path: str | Path, node_ids: Sequence[str]) -> CorrelationGraph:
     """Read the text format, resolving and validating ids against the given
     node universe (typically the panel's)."""
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    text = Path(path).read_text(encoding="utf-8").rstrip().splitlines()  # keep line numbers
     if not text:
         raise ValueError(f"{path}: empty graph file")
-    header = text[0].split()
-    if len(header) != 4 or header[0] != "tcgpn-graph" or header[1] != "v1":
-        raise ValueError(f"{path}: bad header {text[0]!r}")
-    directed = bool(int(header[2].split("=")[1]))
-    n = int(header[3].split("=")[1])
+    header = re.fullmatch(r"tcgpn-graph v1 directed=([01]) n=(\d+)", text[0].strip())
+    if header is None:
+        raise ValueError(f"{path}:1: bad header {text[0]!r}, expected "
+                         "'tcgpn-graph v1 directed=0|1 n=<int>'")
+    directed, n = header.group(1) == "1", int(header.group(2))
     if n != len(node_ids):
-        raise ValueError(f"{path}: header n={n} but panel has {len(node_ids)} nodes")
+        raise ValueError(f"{path}:1: header n={n} but panel has {len(node_ids)} nodes")
     index = {nid: k for k, nid in enumerate(node_ids)}
     weights = np.zeros((n, n))
     for lineno, line in enumerate(text[1:], start=2):
@@ -170,7 +171,10 @@ def load_graph(path: str | Path, node_ids: Sequence[str]) -> CorrelationGraph:
         src, dst, w = parts
         if src not in index or dst not in index:
             raise ValueError(f"{path}:{lineno}: unknown node id {src!r} or {dst!r}")
-        value = float(w)
+        try:
+            value = float(w)
+        except ValueError:
+            value = np.nan
         if not np.isfinite(value) or value < 0:
             raise ValueError(f"{path}:{lineno}: bad weight {w!r}")
         weights[index[src], index[dst]] = value

@@ -209,29 +209,31 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
     """Multi-head graph attention applied independently at every time step
     with shared weights. Neighbor sets come from nonzero adjacency entries
     plus an always-present self-loop; per-head aggregations are concatenated.
+
+    The stage runs time-major: x goes to (T, N, d) once, each head attends
+    over (T, N, N) logits [t, i, j], and the result comes back to (N, T, .).
     """
-    n, t = x.shape[0], x.shape[1]
+    n = x.shape[0]
     if connectivity.shape != (n, n):
         raise ValueError(f"connectivity shape {connectivity.shape} != ({n}, {n})")
-    keep = (np.asarray(connectivity, dtype=bool) | np.eye(n, dtype=bool))[:, None, :]
+    keep = np.asarray(connectivity, dtype=bool) | np.eye(n, dtype=bool)
     g = cfg.gat_dim
     half = np.zeros((2 * g, 1), dtype=bool)
     half[:g] = True
+    x_t = tc.transpose(x, (1, 0, 2))  # (T, N, d)
     heads = []
     for k in range(cfg.gat_heads):
         w = params[f"gat.h{k}.weight"]
         a = params[f"gat.h{k}.attn"]
-        h = tc.matmul(x, w)  # (N, T, g)
+        h = tc.matmul(x_t, w)  # (T, N, g)
         a_src = tc.reshape(tc.masked_select(a, half), (g, 1))
         a_dst = tc.reshape(tc.masked_select(a, ~half), (g, 1))
-        e_src = tc.matmul(h, a_src)  # (N, T, 1)
-        e_dst = tc.reshape(tc.transpose(tc.reshape(tc.matmul(h, a_dst), (n, t)), (1, 0)), (1, t, n))
-        logits = tc.leaky_relu(e_src + e_dst, cfg.leaky_slope)  # (N, T, N): [i, t, j]
-        alpha = tc.decay_softmax(logits, keep)
-        mixed = tc.matmul(tc.transpose(alpha, (1, 0, 2)), tc.transpose(h, (1, 0, 2)))  # (T, N, g)
-        heads.append(tc.transpose(mixed, (1, 0, 2)))
+        e_src = tc.matmul(h, a_src)  # (T, N, 1)
+        e_dst = tc.transpose(tc.matmul(h, a_dst), (0, 2, 1))  # (T, 1, N)
+        alpha = tc.decay_softmax(tc.leaky_relu(e_src + e_dst, cfg.leaky_slope), keep)
+        heads.append(tc.matmul(alpha, h))  # (T, N, g)
     z = heads[0] if len(heads) == 1 else tc.concat(heads, axis=2)
-    return tc.leaky_relu(z, cfg.leaky_slope)
+    return tc.leaky_relu(tc.transpose(z, (1, 0, 2)), cfg.leaky_slope)
 
 
 def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,

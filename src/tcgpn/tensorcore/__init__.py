@@ -13,7 +13,6 @@ from .tensor import (
     concat,
     decay_softmax,
     div,
-    exp,
     leaky_relu,
     masked_select,
     matmul,
@@ -41,7 +40,6 @@ __all__ = [
     "concat",
     "decay_softmax",
     "div",
-    "exp",
     "forward_backward",
     "grad_check",
     "leaky_relu",

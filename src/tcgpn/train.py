@@ -252,8 +252,10 @@ def finetune(pretrained: ParamStore, train_windows: list[WindowSample],
             step=step, l_mse=float(mse.data), l_fine=float(total.data),
             l_pearson=None if pearson is None else float(pearson.data))
 
-    def validate(params: ParamStore) -> float:
-        return evaluate_ic(params, model_cfg, val_windows, graph)
+    def validate(params: ParamStore) -> float:  # validation windows cache under keys < 0
+        with no_grad():
+            return _mean_ic((model.finetune_head(encoding(w, -1 - i), params, model_cfg).data,
+                             w.target) for i, w in enumerate(val_windows))
 
     return _fit("finetune", params, train_windows, sample_loss, validate if val_windows else None,
                 model_cfg, cfg, run_dir, verbose, minimize=False)
@@ -296,13 +298,6 @@ def _mean_ic(pairs) -> float:
         except backtest.ConstantInputError:
             continue
     return float(np.mean(ics)) if ics else np.nan
-
-
-def evaluate_ic(params: ParamStore, model_cfg: model.ModelConfig,
-                windows: list[WindowSample], graph: CorrelationGraph) -> float:
-    """Mean per-date correlation between model scores and realized targets."""
-    rows = predict(params, model_cfg, windows, graph)
-    return _mean_ic((scores, window.target) for window, (_, _, scores) in zip(windows, rows))
 
 
 def persistence_ic(panel: TimePanel, windows: list[WindowSample]) -> float:

@@ -194,6 +194,7 @@ def bench_data(seed: int, noise: float, length: int, stride_train: int = 2):
     return parts, wtrain, wval, graph
 
 
+@pytest.mark.slow
 def test_criterion_6_pretraining_beats_mean_imputation():
     t0 = time.time()
     parts, wtrain, wval, graph = bench_data(seed=0, noise=0.0, length=600)
@@ -243,6 +244,7 @@ def synthetic_runs():
     return rows
 
 
+@pytest.mark.slow
 def test_criterion_7_finetune_beats_baselines(synthetic_runs):
     mean = {k: float(np.mean([r[k] for r in synthetic_runs])) for k in synthetic_runs[0]}
     assert mean["full"] >= mean["persistence"] + 0.05, mean
@@ -252,6 +254,7 @@ def test_criterion_7_finetune_beats_baselines(synthetic_runs):
            f"and scratch {mean['scratch']:.3f} (3 seeds)")
 
 
+@pytest.mark.slow
 def test_criterion_8_ablation_directions(synthetic_runs):
     mean = {k: float(np.mean([r[k] for r in synthetic_runs])) for k in synthetic_runs[0]}
     assert mean["full"] > mean["no_gat"], mean
@@ -264,6 +267,7 @@ def test_criterion_8_ablation_directions(synthetic_runs):
 # 9. memory contract -------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_9_subsampling_bounds_memory():
     spec = data.SyntheticSpec(n_clusters=100, nodes_per_cluster=5, lag=1,
                               noise_std=0.0, length=10, seed=0)

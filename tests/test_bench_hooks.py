@@ -50,7 +50,8 @@ def test_training_calls_go_through_the_wrapped_names(workloads, tmp_path):
     workloads.install_tracing(tracer, patches)
     try:
         pre = train.pretrain(wtrain, wval, graph, cfg, tcfg, run_dir=tmp_path)
-        train.finetune(pre.params, wtrain, wval, graph, cfg, tcfg)
+        fine = train.finetune(pre.params, wtrain, wval, graph, cfg, tcfg)
+        train.predict(fine.params, cfg, wval, graph)  # fine-tuning validation does not predict
     finally:
         patches.restore()
     calls = {name: row["calls"] for name, row in summarize(tracer.spans).items()}

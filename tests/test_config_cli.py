@@ -6,6 +6,8 @@ import pytest
 from tcgpn import config
 from tcgpn.cli import dispatch
 from tcgpn.config import ConfigError
+from tcgpn.data import load_panel, split_by_fraction
+from tcgpn.graphs import build_distance_graph, load_graph
 
 
 def test_defaults_mirror_published_settings():
@@ -85,10 +87,17 @@ def test_cli_synth_and_build_graph(tmp_path, capsys):
     assert (out / "config.txt").exists()
 
     code = dispatch(["build-graph", "--data", str(out / "panel.csv"), "--kind", "distance",
-                     "--out", str(tmp_path / "dist.txt"), "--knn_k", "2"])
+                     "--out", str(tmp_path / "dist.txt"), "--knn_k", "2",
+                     "--split_mode", "fraction"])
     assert code == 0
     header = (tmp_path / "dist.txt").read_text().splitlines()[0]
     assert header.startswith("tcgpn-graph v1 directed=0")
+    # the distance graph comes from the training dates only
+    panel, _ = load_panel(out / "panel.csv")
+    written = load_graph(tmp_path / "dist.txt", panel.node_ids)
+    expected = build_distance_graph(split_by_fraction(panel, 0.7, 0.15)[0], 2)
+    assert np.array_equal(written.weights, expected.weights)
+    assert not np.array_equal(written.weights, build_distance_graph(panel, 2).weights)
 
 
 def test_cli_build_industry_graph(tmp_path):

@@ -1,5 +1,7 @@
 """Graph construction, edge masking, and the file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,14 @@ def test_graph_loader_validates_ids_and_header(tmp_path):
     unknown.write_text("tcgpn-graph v1 directed=1 n=4\nzz,b,1.0\n")
     with pytest.raises(ValueError, match="unknown node"):
         load_graph(unknown, g.node_ids)
+    for header in ("tcgpn-graph v1 directed=yes n=4", "tcgpn-graph v1 directed=1 n=two",
+                   "\ntcgpn-graph v1 directed=1 n=4"):
+        bad.write_text(header + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:1: bad header"):
+            load_graph(bad, g.node_ids)
+    bad.write_text("tcgpn-graph v1 directed=1 n=4\na,b,1.0\na,b,x\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:3: bad weight 'x'$"):
+        load_graph(bad, g.node_ids)
 
 
 def test_industry_metadata_round_trip(tmp_path):

@@ -104,25 +104,35 @@ def test_gat_single_node_reduces_to_self_loop():
     assert np.allclose(z.data[0], expected, atol=1e-6)
 
 
-def test_gat_attention_rows_sum_to_one():
-    cfg = tiny_cfg()
-    params = init_params(cfg, seed=4)
-    x, conn = random_inputs(cfg, n=5, seed=2)
-    xt = fuse_and_position(x, params, cfg)
-    keep = (conn | np.eye(5, dtype=bool))[:, None, :]
-    from tcgpn import tensorcore as tc
-    h = tc.matmul(xt, params["gat.h0.weight"])
-    g = cfg.gat_dim
-    half = np.zeros((2 * g, 1), bool); half[:g] = True
-    a_src = tc.reshape(tc.masked_select(params["gat.h0.attn"], half), (g, 1))
-    a_dst = tc.reshape(tc.masked_select(params["gat.h0.attn"], ~half), (g, 1))
-    e_src = tc.matmul(h, a_src)
-    e_dst = tc.reshape(tc.transpose(tc.reshape(tc.matmul(h, a_dst), (5, cfg.window)), (1, 0)),
-                       (1, cfg.window, 5))
-    logits = tc.leaky_relu(e_src + e_dst, cfg.leaky_slope)
-    alpha = tc.decay_softmax(logits, keep)
-    sums = alpha.data.sum(axis=-1)
-    assert np.allclose(sums, 1.0, atol=1e-6)
+def test_gat_forward_matches_numpy_reference():
+    # per step t and node i: softmax over j in N(i) + {i} of
+    # leaky(a_src . h_ti + a_dst . h_tj), weighted sum of h_tj, heads
+    # concatenated, outer leaky
+    cfg = tiny_cfg(gat_heads=3)
+    n, g = 6, cfg.gat_dim
+
+    def leaky(v):
+        return np.where(v > 0, v, cfg.leaky_slope * v)
+
+    params = init_params(cfg, seed=4, dtype=np.float64)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(n, cfg.window, cfg.d_model))
+    conn = rng.uniform(size=(n, n)) < 0.4
+    np.fill_diagonal(conn, False)
+    assert not np.array_equal(conn, conn.T)
+    expected = np.zeros((n, cfg.window, cfg.gat_heads * g))
+    for k in range(cfg.gat_heads):
+        w = params[f"gat.h{k}.weight"].data
+        a = params[f"gat.h{k}.attn"].data[:, 0]
+        for t in range(cfg.window):
+            h = x[:, t] @ w
+            for i in range(n):
+                nbrs = [j for j in range(n) if conn[i, j] or j == i]
+                e = np.array([leaky(a[:g] @ h[i] + a[g:] @ h[j]) for j in nbrs])
+                alpha = np.exp(e - e.max())
+                expected[i, t, k * g:(k + 1) * g] = (alpha / alpha.sum()) @ h[nbrs]
+    out = gat_forward(Tensor(x), conn, params, cfg).data
+    np.testing.assert_allclose(out, leaky(expected), rtol=1e-10, atol=0)
 
 
 def test_gat_permutation_equivariant():
