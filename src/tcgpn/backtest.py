@@ -15,6 +15,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass, field
+from datetime import date as _date
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,8 @@ class MetricsReport:
 
 
 def read_score_file(path: str | Path, value_name: str) -> dict[str, dict[str, float]]:
+    """Read a `date,symbol,<value_name>` CSV into {date: {symbol: value}}.
+    Values must be finite and each (date, symbol) may appear once."""
     table: dict[str, dict[str, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -83,7 +86,18 @@ def read_score_file(path: str | Path, value_name: str) -> dict[str, dict[str, fl
                 value = float(raw)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad number {raw!r}") from None
-            table.setdefault(d, {})[sym] = value
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite number {raw!r}")
+            per = table.get(d)
+            if per is None:  # validate each date once, where it first appears
+                try:
+                    _date.fromisoformat(d)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad date {d!r}") from None
+                per = table[d] = {}
+            elif sym in per:
+                raise ValueError(f"{path}:{lineno}: duplicate row for ({d}, {sym})")
+            per[sym] = value
     if not table:
         raise ValueError(f"{path}: no rows")
     return table

@@ -174,9 +174,8 @@ def _split_windows(panel: data.TimePanel, values):
 def _prepare(args, values):
     """Load panel + graph, then split, standardize and window per the config."""
     panel, report = data.load_panel(args.data)
-    if report.messages:
-        print(f"load: {report.messages[0]} (+{len(report.messages) - 1} more)" if len(report.messages) > 1
-              else f"load: {report.messages[0]}")
+    if report.dropped_dates:
+        print(f"load: dropped {len(report.dropped_dates)} dates missing for some node")
     graph = graphs.load_graph(args.graph, panel.node_ids)
     windows, model_cfg = _split_windows(panel, values)
     return windows, graph, model_cfg

@@ -11,10 +11,10 @@ the panel ever leaks future information into its own features.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import date as _date
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -110,21 +110,14 @@ class SyntheticSpec:
 
 @dataclass
 class LoadReport:
-    total_rows: int = 0
     dropped_dates: list[str] = field(default_factory=list)
     dropped_rows: int = 0
-    messages: list[str] = field(default_factory=list)
 
 
-def load_panel(path: str | Path, schema: Sequence[str] | None = None,
-               missing: str = "intersect") -> tuple[TimePanel, LoadReport]:
-    """Read the panel CSV. `schema`, when given, is the expected feature-name
-    list. missing="intersect" keeps only dates where every node has a row
-    (dropped dates are reported); missing="ffill" forward-fills gaps from the
-    node's previous row instead.
-    """
+def load_panel(path: str | Path) -> tuple[TimePanel, LoadReport]:
+    """Read the panel CSV. Only dates on which every node has a row are kept;
+    the dropped dates and the rows on them are reported."""
     path = Path(path)
-    report = LoadReport()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -133,12 +126,6 @@ def load_panel(path: str | Path, schema: Sequence[str] | None = None,
             raise ValueError(f"{path}: empty file") from None
         if header[:2] != ["date", "symbol"] or header[-1] != "target" or len(header) < 4:
             raise ValueError(f"{path}: header must be date,symbol,<features...>,target")
-        feature_names = header[2:-1]
-        if schema is not None and list(schema) != feature_names:
-            unknown = sorted(set(feature_names) - set(schema))
-            raise ValueError(f"{path}: feature columns {feature_names} do not match schema"
-                             f" {list(schema)} (unexpected: {unknown})")
-        n_feat = len(feature_names)
         rows: dict[str, dict[str, tuple]] = {}
         last_date: dict[str, str] = {}
         for lineno, rec in enumerate(reader, start=2):
@@ -155,51 +142,26 @@ def load_panel(path: str | Path, schema: Sequence[str] | None = None,
                 raise ValueError(f"{path}:{lineno}: non-monotone dates for {sym!r} ({d} after {last_date[sym]})")
             last_date[sym] = d
             try:
-                values = tuple(float(v) for v in rec[2:])
+                values = tuple(map(float, rec[2:]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparseable number in {rec[2:]!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite number in {rec[2:]!r}")
             rows.setdefault(sym, {})[d] = values
-            report.total_rows += 1
 
     if not rows:
         raise ValueError(f"{path}: no data rows")
     node_ids = sorted(rows)
     all_dates = sorted({d for per in rows.values() for d in per})
-    if missing == "intersect":
-        dates = [d for d in all_dates if all(d in rows[s] for s in node_ids)]
-        kept = set(dates)
-        dropped = [d for d in all_dates if d not in kept]
-        if dropped:
-            report.dropped_dates = dropped
-            report.dropped_rows = sum(1 for s in node_ids for d in dropped if d in rows[s])
-            report.messages.append(f"dropped {len(dropped)} dates missing for some node")
-        if not dates:
-            raise ValueError(f"{path}: no date is covered by every node")
-    elif missing == "ffill":
-        dates = all_dates
-    else:
-        raise ValueError(f"unknown missing policy: {missing}")
-
-    n, d_count = len(node_ids), len(dates)
-    features = np.zeros((n, d_count, n_feat))
-    targets = np.zeros((n, d_count))
-    filled = 0
-    for i, sym in enumerate(node_ids):
-        prev: tuple | None = None
-        for j, d in enumerate(dates):
-            rec = rows[sym].get(d)
-            if rec is None:
-                if prev is None:
-                    raise ValueError(f"{path}: node {sym!r} has no data at or before {d}")
-                rec = prev[:-1] + (0.0,)  # forward-fill features, zero target
-                filled += 1
-            features[i, j] = rec[:-1]
-            targets[i, j] = rec[-1]
-            prev = rec
-    if filled:
-        report.messages.append(f"ffill: forward-filled {filled} missing (node, date) cells")
-    panel = TimePanel(node_ids=node_ids, dates=dates, features=features,
-                      targets=targets, feature_names=feature_names)
+    dates = [d for d in all_dates if all(d in rows[s] for s in node_ids)]
+    if not dates:
+        raise ValueError(f"{path}: no date is covered by every node")
+    kept = set(dates)
+    report = LoadReport(dropped_dates=[d for d in all_dates if d not in kept],
+                        dropped_rows=sum(map(len, rows.values())) - len(node_ids) * len(dates))
+    table = np.array([[rows[s][d] for d in dates] for s in node_ids])  # (N, D, F+1)
+    panel = TimePanel(node_ids=node_ids, dates=dates, features=table[:, :, :-1],
+                      targets=table[:, :, -1], feature_names=header[2:-1])
     return panel, report
 
 

@@ -210,7 +210,10 @@ def load_pretrained(path: str | Path, model_cfg: model.ModelConfig | None = None
     store, config = load_checkpoint(path)
     if config is None or "model" not in config:
         raise ValueError(f"{path}: checkpoint carries no model config")
-    saved_cfg = model.ModelConfig.from_dict(config["model"])
+    try:
+        saved_cfg = model.ModelConfig.from_dict(config["model"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{path}: checkpoint model config: {e}") from None
     if model_cfg is not None and model.param_shapes(model_cfg) != model.param_shapes(saved_cfg):
         raise ValueError(f"{path}: checkpoint does not match the requested model config")
     cfg = model_cfg or saved_cfg

@@ -241,6 +241,16 @@ def test_score_file_round_trip(tmp_path):
     assert table == {"2021-01-01": {"a": 0.5, "b": -0.25}}
     with pytest.raises(ValueError, match="header"):
         read_score_file(path, "return")
+    for rows, message in [
+        ("2021-01-01,a,0.5\n2021-01-01,b,nan\n", r"bad\.csv:3: non-finite"),
+        ("2021-01-01,a,inf\n", r"bad\.csv:2: non-finite"),
+        ("2021-01-01,a,0.5\n2021-01-02,a,0.5\n2021-01-01,a,0.7\n",
+         r"bad\.csv:4: duplicate row for \(2021-01-01, a\)"),
+        ("2021-01-01,a,0.5\n2020-13-45,a,0.5\n", r"bad\.csv:3: bad date '2020-13-45'"),
+    ]:
+        (tmp_path / "bad.csv").write_text("date,symbol,score\n" + rows)
+        with pytest.raises(ValueError, match=message):
+            read_score_file(tmp_path / "bad.csv", "score")
 
 
 def test_outputs_written(tmp_path):

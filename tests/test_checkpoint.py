@@ -75,6 +75,12 @@ def test_load_pretrained_rejects_config_mismatch(tmp_path):
                               tgm_blocks=1, tgm_heads=2, window=8, d_a=4)
     with pytest.raises(ValueError):
         train.load_pretrained(path, other)
+    # a saved model config that ModelConfig rejects names the file
+    without_features = {k: v for k, v in cfg.to_dict().items() if k != "n_features"}
+    for saved in (dict(cfg.to_dict(), bogus=1), without_features, dict(cfg.to_dict(), tgm_heads=3)):
+        save_checkpoint(path, params, config={"model": saved})
+        with pytest.raises(ValueError, match=r"m\.ckpt: checkpoint model config: "):
+            train.load_pretrained(path)
 
 
 def test_load_pretrained_rejects_key_bias_checkpoint(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tcgpn.cli import dispatch
+from tcgpn.tensorcore import load_checkpoint, save_checkpoint
 
 TINY = [
     "--split_mode", "fraction", "--window", "10", "--stride", "2",
@@ -82,15 +83,25 @@ def test_pretrain_determinism_across_cli_runs(pipeline):
     assert ck_a == ck_b
 
 
-def test_checkpoint_config_mismatch_rejected(pipeline):
+def test_checkpoint_config_mismatch_rejected(pipeline, capsys):
     root, synth = pipeline
     runs = root / "runs"
     run = [d for d in run_dirs(runs) if (d / "pretrained.ckpt").exists()][0]
+    inputs = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]
     wrong = [a if a != "8" else "16" for a in TINY]  # d_model 8 -> 16
     code = dispatch(["finetune", "--checkpoint", str(run / "pretrained.ckpt"),
-                     "--data", str(synth / "panel.csv"),
-                     "--graph", str(synth / "graph.txt"), "--out", str(root / "x")] + wrong)
+                     "--out", str(root / "x")] + inputs + wrong)
     assert code == 3
+    # a saved model config the model does not know is a checkpoint error too
+    params, saved = load_checkpoint(run / "pretrained.ckpt")
+    bad = root / "unknown_key.ckpt"
+    save_checkpoint(bad, params, config=dict(saved, model=dict(saved["model"], bogus=1)))
+    capsys.readouterr()
+    for command in (["finetune", "--out", str(root / "x")], ["predict", "--out", str(root / "p.csv")]):
+        assert dispatch(command + ["--checkpoint", str(bad)] + inputs + TINY) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown_key.ckpt: checkpoint model config" in err
+        assert "TypeError" not in err
 
 
 @pytest.mark.parametrize("bad", [["--lambda_m", "-0.1"], ["--r_t", "1.0"], ["--batch_size", "0"],
