@@ -15,10 +15,11 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass, field
-from datetime import date as _date
 from pathlib import Path
 
 import numpy as np
+
+from .data import check_date
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -90,10 +91,7 @@ def read_score_file(path: str | Path, value_name: str) -> dict[str, dict[str, fl
                 raise ValueError(f"{path}:{lineno}: non-finite number {raw!r}")
             per = table.get(d)
             if per is None:  # validate each date once, where it first appears
-                try:
-                    _date.fromisoformat(d)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad date {d!r}") from None
+                check_date(path, lineno, d)
                 per = table[d] = {}
             elif sym in per:
                 raise ValueError(f"{path}:{lineno}: duplicate row for ({d}, {sym})")

@@ -108,6 +108,18 @@ class SyntheticSpec:
             raise ValueError("noise_std must be non-negative")
 
 
+def check_date(path, lineno: int, d: str) -> None:
+    """Accept a date only in canonical YYYY-MM-DD form. Dates are compared as
+    strings, so other ISO forms that Python 3.11+ parses (20200102,
+    2020-W01-3) would sort wrongly, and Python 3.10 rejects them."""
+    try:
+        ok = _date.fromisoformat(d).isoformat() == d
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{path}:{lineno}: bad date {d!r}")
+
+
 @dataclass
 class LoadReport:
     dropped_dates: list[str] = field(default_factory=list)
@@ -128,16 +140,16 @@ def load_panel(path: str | Path) -> tuple[TimePanel, LoadReport]:
             raise ValueError(f"{path}: header must be date,symbol,<features...>,target")
         rows: dict[str, dict[str, tuple]] = {}
         last_date: dict[str, str] = {}
+        checked_dates: set[str] = set()
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
             if len(rec) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} columns, got {len(rec)}")
             d, sym = rec[0], rec[1]
-            try:
-                _date.fromisoformat(d)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad date {d!r}") from None
+            if d not in checked_dates:
+                check_date(path, lineno, d)
+                checked_dates.add(d)
             if sym in last_date and d <= last_date[sym]:
                 raise ValueError(f"{path}:{lineno}: non-monotone dates for {sym!r} ({d} after {last_date[sym]})")
             last_date[sym] = d

@@ -108,16 +108,14 @@ def loss_mse(y_hat: Tensor, y) -> Tensor:
 
 
 def loss_pearson(y_hat: Tensor, y) -> Tensor:
-    """Negative Pearson correlation (standard definition, squared deviations
-    under the square roots). Raises ZeroVarianceError on constant input."""
-    y_const = _as_const(y, y_hat)
-    if float(np.var(y_hat.data)) == 0.0 or float(np.var(y_const.data)) == 0.0:
+    """Negative Pearson correlation: minus the mean product of the two
+    standardized vectors (population variance). Raises ZeroVarianceError on
+    constant input."""
+    y_arr = _as_const(y, y_hat).data
+    if float(np.var(y_hat.data)) == 0.0 or float(np.var(y_arr)) == 0.0:
         raise ZeroVarianceError("pearson loss undefined for constant vectors")
-    cp = y_hat - tc.mean(y_hat)
-    cy = y_const - tc.mean(y_const)
-    cov = tc.sum(cp * cy)
-    denom = tc.sqrt(tc.sum(cp * cp)) * tc.sqrt(tc.sum(cy * cy))
-    return -(cov / denom)
+    z_y = (y_arr - y_arr.mean()) / y_arr.std()
+    return -tc.mean(tc.normalize(y_hat, 0.0) * z_y)
 
 
 def loss_finetune(y_hat: Tensor, y, lambda_m: float = 0.3

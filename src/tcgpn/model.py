@@ -183,10 +183,7 @@ def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = tc.mean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = tc.mean(centered * centered, axis=-1, keepdims=True)
-    return (centered / tc.sqrt(var + eps)) * gamma + beta
+    return tc.normalize(x, eps) * gamma + beta
 
 
 # forward passes ----------------------------------------------------------------

@@ -20,9 +20,9 @@ from .tensor import (
     mul,
     neg,
     no_grad,
+    normalize,
     relu,
     reshape,
-    sqrt,
     sub,
     sum,
     transpose,
@@ -51,10 +51,10 @@ __all__ = [
     "mul",
     "neg",
     "no_grad",
+    "normalize",
     "relu",
     "reshape",
     "save_checkpoint",
-    "sqrt",
     "sub",
     "sum",
     "transpose",

@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
 The primitive set is closed, 16 in all: add, sub, mul, div, neg, matmul,
-transpose, reshape, concat, sqrt, relu, leaky_relu, decay_softmax (attention
-normalisation under a constant weight array), sum, mean and masked_select.
+transpose, reshape, concat, normalize (zero mean, unit variance over the last
+axis), relu, leaky_relu, decay_softmax (attention normalisation under a
+constant weight array), sum, mean and masked_select.
 Every primitive has an exact vector-Jacobian product, so any composition of
 them has exact gradients; the finite-difference checker in gradcheck.py
 verifies this.
@@ -261,11 +262,17 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with stacked (batched) leading dimensions."""
+    """Matrix product with stacked (batched) leading dimensions.
+
+    A stacked `a` times one matrix `b` folds a's leading dimensions into
+    rows, so the forward and each gradient are one GEMM and b's gradient
+    never materialises a per-row-block stack to be summed."""
     a = _coerce(a)
     b = _coerce(b, like=a)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul", f"operands need ndim >= 2, got {a.data.shape} @ {b.data.shape}")
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        return _folded_matmul(a, b)
     try:
         data = a.data @ b.data
     except ValueError as e:
@@ -276,6 +283,22 @@ def matmul(a, b) -> Tensor:
 
     def grad_b(g):
         return _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+
+    return _result(data, (a, b), (grad_a, grad_b))
+
+
+def _folded_matmul(a: Tensor, b: Tensor) -> Tensor:
+    """(..., d) @ (d, k) as one (rows, d) @ (d, k) product."""
+    d, k = b.data.shape
+    if a.data.shape[-1] != d:
+        raise ShapeError("matmul", f"inner dimensions differ: {a.data.shape} @ {b.data.shape}")
+    data = (a.data.reshape(-1, d) @ b.data).reshape(a.data.shape[:-1] + (k,))
+
+    def grad_a(g):
+        return (g.reshape(-1, k) @ b.data.T).reshape(a.data.shape)
+
+    def grad_b(g):  # a non-contiguous `a` is copied here, not kept alive from the forward
+        return a.data.reshape(-1, d).T @ g.reshape(-1, k)
 
     return _result(data, (a, b), (grad_a, grad_b))
 
@@ -327,10 +350,21 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # elementwise ---------------------------------------------------------------
 
 
-def sqrt(a) -> Tensor:
+def normalize(a, eps: float) -> Tensor:
+    """(a - mean) / sqrt(var + eps) over the last axis, with the population
+    variance. The backward is the closed form (g - mean(g) - y mean(g y)) / std."""
     a = _coerce(a)
-    y = np.sqrt(a.data)
-    return _result(y, (a,), (lambda g: g * (0.5 / y),))
+    x = a.data
+    axis = (x.ndim - 1,)
+    centered = x - x.mean(axis=axis, keepdims=True)
+    var = (centered * centered).mean(axis=axis, keepdims=True)
+    std = np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    y = centered / std
+
+    def vjp(g):
+        return (g - g.mean(axis=axis, keepdims=True) - y * (g * y).mean(axis=axis, keepdims=True)) / std
+
+    return _result(y, (a,), (vjp,))
 
 
 def relu(a) -> Tensor:

@@ -247,6 +247,8 @@ def test_score_file_round_trip(tmp_path):
         ("2021-01-01,a,0.5\n2021-01-02,a,0.5\n2021-01-01,a,0.7\n",
          r"bad\.csv:4: duplicate row for \(2021-01-01, a\)"),
         ("2021-01-01,a,0.5\n2020-13-45,a,0.5\n", r"bad\.csv:3: bad date '2020-13-45'"),
+        ("2021-01-01,a,0.5\n20210102,a,0.5\n", r"bad\.csv:3: bad date '20210102'"),
+        ("2021-W01-3,a,0.5\n", r"bad\.csv:2: bad date '2021-W01-3'"),
     ]:
         (tmp_path / "bad.csv").write_text("date,symbol,score\n" + rows)
         with pytest.raises(ValueError, match=message):

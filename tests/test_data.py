@@ -88,6 +88,15 @@ def test_load_rejects_bad_rows(tmp_path):
                 load_panel(p5)
 
 
+def test_load_rejects_non_canonical_dates(tmp_path):
+    # ISO forms Python 3.11+ parses but 3.10 does not; as strings they sort wrongly
+    p = tmp_path / "iso.csv"
+    for d in ("20200102", "2020-W01-3", "2020-1-02", " 2020-01-02"):
+        write_csv(p, ["2020-01-01,a,1.0,0.1", f"{d},a,1.0,0.1"])
+        with pytest.raises(ValueError, match=rf"iso\.csv:3: bad date '{d}'"):
+            load_panel(p)
+
+
 def test_save_load_round_trip(tmp_path):
     panel = make_panel(n=2, d=5, f=3, seed=4)
     path = tmp_path / "panel.csv"

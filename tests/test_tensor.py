@@ -59,7 +59,7 @@ def test_shape_mismatch_names_op():
 
 
 @pytest.mark.parametrize("op,build", [
-    ("sqrt", lambda t: tc.sum(tc.sqrt(t + 3.0))),
+    ("normalize", lambda t: tc.sum(tc.normalize(t, 1e-5) * np.array([1.0, -2.0, 0.5]))),
     ("relu", lambda t: tc.sum(tc.relu(t) * tc.relu(t))),
     ("leaky", lambda t: tc.sum(tc.leaky_relu(t, 0.2) * t)),
     ("softmax", lambda t: tc.sum(tc.decay_softmax(t, np.ones(t.shape)) * t)),
@@ -82,16 +82,43 @@ def test_elementwise_vjps_match_finite_differences(op, build):
 
 def test_matmul_batched_broadcast_grad():
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 3, 2))
-    b = rng.normal(size=(2, 5))  # broadcast over the batch dim
+    b = rng.normal(size=(2, 5))  # broadcast over the batch dims
+    # stacked left operands: 3-D, 4-D, and a non-contiguous time-major view
+    # of an (N, T, d) array (the GAT layout)
+    for a in (rng.normal(size=(4, 3, 2)), rng.normal(size=(2, 3, 4, 2)),
+              rng.normal(size=(3, 4, 2)).transpose(1, 0, 2)):
+        upstream = rng.normal(size=a.shape[:-1] + (5,))
 
-    def build(t):
-        return tc.sum(tc.matmul(Tensor(a), t) * 2.0 + tc.matmul(Tensor(a), t) * Tensor(a @ b))
+        def build(ta, tb):
+            return tc.sum(tc.matmul(ta, tb) * 2.0 + tc.matmul(ta, tb) * upstream)
 
-    grad, _ = analytic_grad(build, b)
-    num = numeric_grad(lambda arr: float(build(Tensor(arr)).data), b.copy())
-    assert np.allclose(grad, num, rtol=1e-5, atol=1e-7)
-    assert grad.shape == b.shape
+        num_a = numeric_grad(lambda arr: float(build(Tensor(arr), Tensor(b)).data), a.copy())
+        num_b = numeric_grad(lambda arr: float(build(Tensor(a), Tensor(arr)).data), b.copy())
+        for dtype, tol in ((np.float64, 1e-7), (np.float32, 1e-4)):
+            ta = Tensor(a.astype(dtype, copy=False), requires_grad=True)
+            tb = Tensor(b.astype(dtype), requires_grad=True)
+            build(ta, tb).backward()
+            for t, num in ((ta, num_a), (tb, num_b)):
+                assert t.grad.shape == t.shape and t.grad.dtype == dtype
+                assert np.allclose(t.grad, num, rtol=tol, atol=tol), (a.shape, dtype)
+
+
+def test_matmul_weight_grad_allocates_no_per_row_stack():
+    import tracemalloc
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.normal(size=(256, 2, 64)), requires_grad=True)
+    w = Tensor(rng.normal(size=(64, 64)), requires_grad=True)
+    loss = tc.sum(tc.matmul(a, w))
+    stack_bytes = 256 * 64 * 64 * 8  # a (N, d, k) stack of per-row-block products
+    tracemalloc.start()
+    try:
+        loss.backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == (64, 64)
+    assert np.allclose(w.grad, a.data.reshape(-1, 64).sum(axis=0)[:, None])
+    assert peak < stack_bytes / 4, peak
 
 
 def test_concat_grads():
@@ -186,6 +213,47 @@ def test_decay_softmax_zero_weight_scores_cannot_move_output():
         assert np.all(base[dropped] == 0.0)
 
 
+def _nine_node_layer_norm(x: Tensor, gamma, beta, eps: float) -> Tensor:
+    """Reference: layer norm composed from single-purpose nodes (mean, sub,
+    mul, mean, add, sqrt, div, mul, add)."""
+    mu = tc.mean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = tc.mean(centered * centered, axis=-1, keepdims=True)
+    shifted = var + eps
+    root = np.sqrt(shifted.data)
+    std = tensor_mod._result(root, (shifted,), (lambda g: g * (0.5 / root),))
+    return (centered / std) * gamma + beta
+
+
+def _fused_layer_norm(x: Tensor, gamma, beta, eps: float) -> Tensor:
+    return tc.normalize(x, eps) * gamma + beta
+
+
+def test_normalize_equals_nine_node_composition():
+    rng = np.random.default_rng(23)
+    for shape in ((3, 5, 16), (4, 7)):
+        d = shape[-1]
+        for dtype in (np.float32, np.float64):
+            raw = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+            gamma = Tensor(rng.normal(size=d).astype(dtype))
+            beta = Tensor(rng.normal(size=d).astype(dtype))
+            fused = _fused_layer_norm(Tensor(raw), gamma, beta, 1e-5).data
+            assert fused.dtype == dtype
+            assert np.array_equal(fused, _nine_node_layer_norm(Tensor(raw), gamma, beta, 1e-5).data)
+
+        raw = rng.normal(size=shape) * 3 + 1
+        upstream = rng.normal(size=shape)
+        grads = []
+        for layer_norm in (_fused_layer_norm, _nine_node_layer_norm):
+            x = Tensor(raw.copy(), requires_grad=True)
+            gamma = Tensor(np.linspace(0.5, 1.5, d), requires_grad=True)
+            beta = Tensor(np.zeros(d), requires_grad=True)
+            tc.sum(layer_norm(x, gamma, beta, 1e-5) * upstream).backward()
+            grads.append((x.grad, gamma.grad, beta.grad))
+        for fused_grad, composed_grad in zip(*grads):
+            assert np.abs(fused_grad - composed_grad).max() < 1e-12
+
+
 def test_grad_accumulates_across_reuse():
     p = Tensor(np.array([2.0]), requires_grad=True)
     loss = tc.sum(p * p + p * 3.0)
@@ -211,8 +279,8 @@ def test_forward_backward_reports_only_touched_paths():
 
 
 def test_dtype_preserved_through_ops():
-    x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
-    y = tc.mean(tc.sqrt(x + 1.0) * 2.0 + 1.0)
+    x = Tensor(np.arange(4, dtype=np.float32).reshape(2, 2), requires_grad=True)
+    y = tc.mean(tc.normalize(x + 1.0, 1e-5) * x * 2.0 + 1.0)
     assert y.data.dtype == np.float32
     y.backward()
     assert x.grad.dtype == np.float32
