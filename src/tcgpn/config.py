@@ -77,7 +77,6 @@ KEY_TABLE: dict[str, Key] = {k.name: k for k in [
     Key("finetune_epochs", int, 50, "fine-tuning epochs"),
     Key("early_stop_patience", int, 10, "epochs without improvement before stop"),
     Key("seed", int, 0, "global seed"),
-    Key("freeze_encoder", bool, True, "freeze pretrained weights in fine-tuning"),
     # backtest
     Key("top_k", int, 0, "names held per day (0 = N/10)"),
     Key("trading_days", int, 252, "annualization day count"),
@@ -207,7 +206,6 @@ def to_train_config(values: dict[str, Any], phase: str = "pretrain") -> TrainCon
         learning_rate=values["lr"],
         seed=values["seed"],
         early_stop_patience=values["early_stop_patience"],
-        freeze_encoder=values["freeze_encoder"],
         use_temporal_loss=values["use_temporal_loss"],
         use_graph_loss=values["use_graph_loss"],
     )

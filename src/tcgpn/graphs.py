@@ -164,6 +164,7 @@ def load_graph(path: str | Path, node_ids: Sequence[str]) -> CorrelationGraph:
         raise ValueError(f"{path}:1: header n={n} but panel has {len(node_ids)} nodes")
     index = {nid: k for k, nid in enumerate(node_ids)}
     weights = np.zeros((n, n))
+    seen: dict[tuple[int, int], int] = {}  # edge -> line it was first given on
     for lineno, line in enumerate(text[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3:
@@ -171,15 +172,23 @@ def load_graph(path: str | Path, node_ids: Sequence[str]) -> CorrelationGraph:
         src, dst, w = parts
         if src not in index or dst not in index:
             raise ValueError(f"{path}:{lineno}: unknown node id {src!r} or {dst!r}")
+        if src == dst:
+            raise ValueError(f"{path}:{lineno}: self-edge {src!r}")
         try:
             value = float(w)
         except ValueError:
             value = np.nan
         if not np.isfinite(value) or value < 0:
             raise ValueError(f"{path}:{lineno}: bad weight {w!r}")
-        weights[index[src], index[dst]] = value
+        i, j = index[src], index[dst]
+        edge = (i, j) if directed else (min(i, j), max(i, j))
+        if edge in seen:
+            raise ValueError(f"{path}:{lineno}: repeated edge {src},{dst} "
+                             f"(first given on line {seen[edge]})")
+        seen[edge] = lineno
+        weights[i, j] = value
         if not directed:
-            weights[index[dst], index[src]] = value
+            weights[j, i] = value
     return CorrelationGraph(n_nodes=n, weights=weights, directed=directed, node_ids=list(node_ids))
 
 

@@ -29,18 +29,14 @@ class LossReport:
     l_mse: float | None = None
     l_pearson: float | None = None
     l_fine: float | None = None
-    masked_count: int = 0
-    supervised_edge_count: int = 0
 
     FIELDS = ("step", "l_t", "l_g", "l_pre", "l_mse", "l_pearson", "l_fine")
 
     @classmethod
     def merge(cls, step: int, reports: list["LossReport"]) -> "LossReport":
         """One optimizer step's report from its per-sample reports: each loss
-        term is averaged over the samples that computed it, counts are summed."""
-        out = cls(step=step,
-                  masked_count=sum(r.masked_count for r in reports),
-                  supervised_edge_count=sum(r.supervised_edge_count for r in reports))
+        term is averaged over the samples that computed it."""
+        out = cls(step=step)
         for name in cls.FIELDS[1:]:  # the loss terms
             values = [getattr(r, name) for r in reports if getattr(r, name) is not None]
             setattr(out, name, float(np.mean(values)) if values else None)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -66,15 +65,6 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
-
-
-@dataclass
-class EncoderOutput:
-    o_l: Tensor  # (N, T, d_model)
-    attention: Optional[list[np.ndarray]] = None  # per block, (N, H, T, T)
-
-
-HEAD_PREFIX = "head."
 
 
 # parameters ------------------------------------------------------------------
@@ -172,12 +162,6 @@ def gaussian_mask(window: int, sigma_h: float) -> np.ndarray:
     return out
 
 
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return tc.matmul(x, w) + b
 
@@ -192,7 +176,7 @@ def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Te
 def fuse_and_position(values, params: ParamStore, cfg: ModelConfig) -> Tensor:
     """Map raw features to model width and add the positional table."""
     w, b = params["fuse.weight"], params["fuse.bias"]
-    x = _as_tensor(values, w.data.dtype)
+    x = values if isinstance(values, Tensor) else Tensor(np.asarray(values, dtype=w.data.dtype))
     if x.shape[2] != cfg.n_features or w.shape[0] != x.shape[2]:
         raise ValueError(f"feature dim {x.shape[2]} does not match fusion weight {w.shape}")
     if x.shape[1] != cfg.window:
@@ -260,10 +244,12 @@ def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,
     return _layer_norm(x1 + ffn, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
 
 
-def encoder_forward(values, connectivity: np.ndarray, params: ParamStore,
-                    cfg: ModelConfig, record_attention: bool = False) -> EncoderOutput:
+def encoder_forward(values, connectivity: np.ndarray, params: ParamStore, cfg: ModelConfig,
+                    attention_out: list[np.ndarray] | None = None) -> Tensor:
     """Full encoder: fusion + positions, a residual graph-attention stage,
-    then the stack of causal decay blocks.
+    then the stack of causal decay blocks; returns the (N, T, d_model)
+    encodings. With attention_out, each block appends its (N, H, T, T)
+    attention map to that list.
 
     The graph stage adds the projected neighbour aggregation to each node's
     own signal, x + proj(GAT(x)), so members of one clique keep distinct
@@ -277,34 +263,31 @@ def encoder_forward(values, connectivity: np.ndarray, params: ParamStore,
     else:
         x = _linear(x, params["proj.weight"], params["proj.bias"])
     decay = gaussian_mask(cfg.window, cfg.sigma_h)
-    maps: list[np.ndarray] | None = [] if record_attention else None
     for i in range(cfg.tgm_blocks):
-        x = tgm_block(x, params, f"enc.block{i}", cfg, decay, attention_out=maps)
-    return EncoderOutput(o_l=x, attention=maps)
+        x = tgm_block(x, params, f"enc.block{i}", cfg, decay, attention_out)
+    return x
 
 
-def temporal_decoder(out: EncoderOutput, params: ParamStore, cfg: ModelConfig) -> Tensor:
+def temporal_decoder(o_l: Tensor, params: ParamStore, cfg: ModelConfig) -> Tensor:
     """Causal single-block decoder mapping encodings back to feature space."""
     decay = gaussian_mask(cfg.window, cfg.sigma_h)
-    x = tgm_block(out.o_l, params, "dec.block0", cfg, decay)
+    x = tgm_block(o_l, params, "dec.block0", cfg, decay)
     return _linear(x, params["dec.out.weight"], params["dec.out.bias"])
 
 
-def adjacency_decoder(out: EncoderOutput, params: ParamStore) -> Tensor:
+def adjacency_decoder(o_l: Tensor, params: ParamStore) -> Tensor:
     """Key-value adjacency reconstruction from time-averaged node summaries:
     two linear maps produce left/right factors whose outer product is the
     predicted adjacency (rank bounded by the factor width)."""
-    summary = tc.mean(out.o_l, axis=1)  # (N, d_model)
+    summary = tc.mean(o_l, axis=1)  # (N, d_model)
     left = _linear(summary, params["adj.left.weight"], params["adj.left.bias"])
     right = _linear(summary, params["adj.right.weight"], params["adj.right.bias"])
     return tc.matmul(left, tc.transpose(right, (1, 0)))
 
 
-def finetune_head(out: EncoderOutput | Tensor, params: ParamStore, cfg: ModelConfig) -> Tensor:
+def finetune_head(o_l: Tensor, params: ParamStore, cfg: ModelConfig) -> Tensor:
     """Per-node score: residual two-layer MLP on the encoding, then a predict
     layer over the flattened window."""
-    o_l = out.o_l if isinstance(out, EncoderOutput) else out
-    o_l = _as_tensor(o_l, params["head.fc1.weight"].data.dtype)
     n, t, d = o_l.shape
     inner = tc.relu(_linear(o_l, params["head.fc1.weight"], params["head.fc1.bias"]))
     inner = _linear(inner, params["head.fc2.weight"], params["head.fc2.bias"])

@@ -58,7 +58,8 @@ def grad_check(loss_fn, params: ParamStore, eps: float = 1e-5, tol: float = 1e-4
     larger than honest gradient errors.
     """
     if params.dtype != np.float64:
-        raise ValueError("grad_check requires a float64 ParamStore (use store.astype(np.float64))")
+        raise ValueError("grad_check requires a float64 ParamStore "
+                         "(use init_params(..., dtype=np.float64))")
     if eps <= 0:
         raise ValueError("eps must be positive")
 
@@ -66,8 +67,6 @@ def grad_check(loss_fn, params: ParamStore, eps: float = 1e-5, tol: float = 1e-4
     report = GradCheckReport(eps=eps, tol=tol)
 
     for path, tensor in params.items():
-        if not tensor.requires_grad:
-            continue
         a = analytic.get(path)
         if a is None:
             a = np.zeros_like(tensor.data)

@@ -18,7 +18,6 @@ class ParamStore:
     """
 
     def __init__(self, seed: int = 0, dtype=np.float32):
-        self.rng_seed = seed
         self.dtype = np.dtype(dtype)
         self._rng = np.random.default_rng(seed)
         self._entries: dict[str, Tensor] = {}
@@ -62,32 +61,19 @@ class ParamStore:
         for t in self._entries.values():
             t.grad = None
 
-    def set_trainable(self, value: bool, prefix: str = "") -> None:
-        """Toggle requires_grad for every path under a prefix."""
-        for path, t in self._entries.items():
-            if path.startswith(prefix):
-                t.requires_grad = value
-
     def clone(self) -> "ParamStore":
-        out = ParamStore(seed=self.rng_seed, dtype=self.dtype)
+        out = ParamStore(dtype=self.dtype)
         for path, t in self._entries.items():
-            c = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            out._entries[path] = c
-        return out
-
-    def astype(self, dtype) -> "ParamStore":
-        out = ParamStore(seed=self.rng_seed, dtype=dtype)
-        for path, t in self._entries.items():
-            out._entries[path] = Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
+            out._entries[path] = Tensor(t.data.copy(), requires_grad=True)
         return out
 
     @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray], seed: int = 0) -> "ParamStore":
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ParamStore":
         dtypes = {a.dtype for a in arrays.values()}
         if len(dtypes) > 1:
             raise ValueError(f"mixed parameter dtypes: {sorted(map(str, dtypes))}")
         dtype = dtypes.pop() if dtypes else np.float32
-        out = cls(seed=seed, dtype=dtype)
+        out = cls(dtype=dtype)
         for path in sorted(arrays):
             out._entries[path] = Tensor(np.array(arrays[path]), requires_grad=True)
         return out
@@ -96,8 +82,8 @@ class ParamStore:
 def forward_backward(loss_fn, params: ParamStore) -> tuple[float, dict[str, np.ndarray]]:
     """Evaluate a scalar loss over the store and return (loss, grads by path).
 
-    Grads contain an entry for every requires_grad parameter the loss
-    actually touched; untouched parameters are absent.
+    Grads contain an entry for every parameter the loss actually touched;
+    untouched parameters are absent.
     """
     params.zero_grad()
     loss = loss_fn(params)

@@ -1,9 +1,9 @@
 """Pretraining and fine-tuning, one training loop for both.
 
 Pretraining: window -> node subset -> temporal + graph masking -> encoder ->
-both decoders -> combined loss. Fine-tuning keeps the encoder frozen (by
-default), feeds unmasked inputs, and trains only the prediction head; frozen
-encodings are computed once and cached.
+both decoders -> combined loss. Fine-tuning keeps the encoder frozen: it
+encodes each unmasked training and validation window once, then trains only
+the prediction head on those encodings.
 
 Both phases run `_fit`: per batch it sums per-sample gradients and steps Adam
 on their mean, then after each epoch it validates, keeps the best parameters
@@ -37,7 +37,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     early_stop_patience: int = 10
-    freeze_encoder: bool = True
     use_temporal_loss: bool = True
     use_graph_loss: bool = True
 
@@ -67,17 +66,16 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _fit(phase: str, params: ParamStore, train_windows: list[WindowSample],
-         sample_loss, validate, model_cfg: model.ModelConfig, cfg: TrainConfig,
+def _fit(phase: str, params: ParamStore, items: list, sample_loss, validate,
+         model_cfg: model.ModelConfig, cfg: TrainConfig,
          run_dir: str | Path | None, verbose: bool, *, minimize: bool) -> TrainResult:
     """The training loop both phases share.
 
-    sample_loss(window, index, seed, step) returns one sample's loss tensor
-    and its LossReport; index is the window's position in train_windows.
-    validate(params) scores an epoch, lower is better when minimize; with
-    validate None the score is the epoch's mean training loss (negated when
-    higher is better). The best-scoring parameters are returned and, with a
-    run_dir, saved with the step log.
+    sample_loss(item, seed, step) returns one training item's loss tensor
+    and its LossReport. validate(params) scores an epoch, lower is better
+    when minimize; with validate None the score is the epoch's mean training
+    loss (negated when higher is better). The best-scoring parameters are
+    returned and, with a run_dir, saved with the step log.
     """
     opt = Adam(lr=cfg.learning_rate)
     result = TrainResult(params=params)
@@ -87,13 +85,13 @@ def _fit(phase: str, params: ParamStore, train_windows: list[WindowSample],
     step = 0
     for epoch in range(cfg.epochs):
         step_losses = []
-        for b, start in enumerate(range(0, len(train_windows), cfg.batch_size)):
-            batch = train_windows[start:start + cfg.batch_size]
+        for b, start in enumerate(range(0, len(items), cfg.batch_size)):
+            batch = items[start:start + cfg.batch_size]
             grads_total: dict[str, np.ndarray] = {}
             reports = []
-            for j, window in enumerate(batch):
+            for j, item in enumerate(batch):
                 seed = _derive_seed(cfg.seed, epoch, b, j)
-                loss, report = sample_loss(window, start + j, seed, step)
+                loss, report = sample_loss(item, seed, step)
                 if not np.isfinite(loss.data):
                     raise RuntimeError(f"non-finite {phase} loss (epoch {epoch}, batch {b}, "
                                        f"window {start + j}, sample seed {seed})")
@@ -183,18 +181,13 @@ def pretrain(train_windows: list[WindowSample], val_windows: list[WindowSample],
     params = initial_params.clone() if initial_params is not None \
         else model.init_params(model_cfg, seed=cfg.seed)
 
-    def sample_loss(window: WindowSample, index: int, seed: int, step: int):
+    def sample_loss(window: WindowSample, seed: int, step: int):
         sample = _make_sample(window, graph, cfg, seed)
         combined, l_t, l_g = pretrain_sample_losses(sample, params, model_cfg, cfg)
-        report = losses.LossReport(step=step, l_pre=float(combined.data))
-        if l_t is not None:
-            report.l_t = float(l_t.data)
-            report.masked_count = int(sample.panel.mask_positions.sum())
-        if l_g is not None:
-            report.l_g = float(l_g.data)
-            report.supervised_edge_count = int(
-                (sample.graph.mask_kept & (sample.original_weights != 0)).sum())
-        return combined, report
+        return combined, losses.LossReport(
+            step=step, l_pre=float(combined.data),
+            l_t=None if l_t is None else float(l_t.data),
+            l_g=None if l_g is None else float(l_g.data))
 
     def validate(params: ParamStore) -> float:
         return _pretrain_validation(val_windows, graph, params, model_cfg, cfg)
@@ -227,40 +220,35 @@ def finetune(pretrained: ParamStore, train_windows: list[WindowSample],
              val_windows: list[WindowSample], graph: CorrelationGraph,
              model_cfg: model.ModelConfig, cfg: TrainConfig,
              run_dir: str | Path | None = None, verbose: bool = False) -> TrainResult:
-    """Train the prediction head on unmasked inputs. With freeze_encoder the
-    encoder is untouched (its frozen encodings are computed once); otherwise
-    the whole network updates."""
+    """Train the prediction head on unmasked inputs over a frozen encoder:
+    every training and validation window is encoded once, up front, and the
+    head is fitted to those (encoding, target) pairs."""
     if not train_windows:
         raise ValueError("fine-tuning needs at least one window")
     params = pretrained.clone()
-    if cfg.freeze_encoder:
-        params.set_trainable(False)
-        params.set_trainable(True, model.HEAD_PREFIX)
     conn = graph.weights != 0
-    cache: dict[int, np.ndarray] = {}
 
-    def encoding(window: WindowSample, index: int):
-        if cfg.freeze_encoder:
-            if index not in cache:
-                with no_grad():
-                    out = model.encoder_forward(window.panel, conn, params, model_cfg)
-                cache[index] = out.o_l.data
-            return Tensor(cache[index])
-        return model.encoder_forward(window.panel, conn, params, model_cfg).o_l
+    def encode(windows: list[WindowSample]) -> list[tuple[np.ndarray, np.ndarray]]:
+        with no_grad():
+            return [(model.encoder_forward(w.panel, conn, params, model_cfg).data, w.target)
+                    for w in windows]
 
-    def sample_loss(window: WindowSample, index: int, seed: int, step: int):
-        y_hat = model.finetune_head(encoding(window, index), params, model_cfg)
-        total, mse, pearson = losses.loss_finetune(y_hat, window.target, cfg.lambda_m)
+    train_items, val_items = encode(train_windows), encode(val_windows)
+
+    def sample_loss(item: tuple[np.ndarray, np.ndarray], seed: int, step: int):
+        encoding, target = item
+        y_hat = model.finetune_head(Tensor(encoding), params, model_cfg)
+        total, mse, pearson = losses.loss_finetune(y_hat, target, cfg.lambda_m)
         return total, losses.LossReport(
             step=step, l_mse=float(mse.data), l_fine=float(total.data),
             l_pearson=None if pearson is None else float(pearson.data))
 
-    def validate(params: ParamStore) -> float:  # validation windows cache under keys < 0
+    def validate(params: ParamStore) -> float:
         with no_grad():
-            return _mean_ic((model.finetune_head(encoding(w, -1 - i), params, model_cfg).data,
-                             w.target) for i, w in enumerate(val_windows))
+            return _mean_ic((model.finetune_head(Tensor(encoding), params, model_cfg).data, target)
+                            for encoding, target in val_items)
 
-    return _fit("finetune", params, train_windows, sample_loss, validate if val_windows else None,
+    return _fit("finetune", params, train_items, sample_loss, validate if val_items else None,
                 model_cfg, cfg, run_dir, verbose, minimize=False)
 
 

@@ -62,7 +62,7 @@ def test_criterion_2_causality_exact():
             pert[:, t + 1:, :] += rng.normal(0, 3.0, size=pert[:, t + 1:, :].shape)
             out = model.encoder_forward(pert, conn, params, cfg)
             dec = model.temporal_decoder(out, params, cfg).data
-            assert np.array_equal(out.o_l.data[:, :t + 1], base.o_l.data[:, :t + 1]), trial
+            assert np.array_equal(out.data[:, :t + 1], base.data[:, :t + 1]), trial
             assert np.array_equal(dec[:, :t + 1], base_dec[:, :t + 1]), trial
     report("2 causality", "200 future-perturbation trials changed earlier outputs by exactly 0")
 
@@ -90,7 +90,7 @@ def test_criterion_3_permutation_equivariance():
             y = model.finetune_head(out, params, cfg).data
             worst = max(
                 worst,
-                np.abs(out.o_l.data - base.o_l.data[p]).max() / (np.abs(base.o_l.data).max() + 1e-8),
+                np.abs(out.data - base.data[p]).max() / (np.abs(base.data).max() + 1e-8),
                 np.abs(adj - base_adj[np.ix_(p, p)]).max() / (np.abs(base_adj).max() + 1e-8),
                 np.abs(y - base_y[p]).max() / (np.abs(base_y).max() + 1e-8),
             )

@@ -23,10 +23,10 @@ def test_defaults_mirror_published_settings():
 
 def test_config_file_and_overrides(tmp_path):
     f = tmp_path / "c.txt"
-    f.write_text("# comment\nr_t = 0.5\nepochs = 7\nfreeze_encoder = false\n")
+    f.write_text("# comment\nr_t = 0.5\nepochs = 7\nstandardize = false\n")
     values = config.resolve(f, ["--lr", "0.01", "--use_gat=false"])
     assert values["r_t"] == 0.5 and values["epochs"] == 7
-    assert values["freeze_encoder"] is False
+    assert values["standardize"] is False
     assert values["lr"] == 0.01 and values["use_gat"] is False
 
 
@@ -70,7 +70,8 @@ def test_cli_usage_errors_exit_2():
 def test_cli_config_errors_exit_3(tmp_path, capsys):
     out = tmp_path / "d"
     for bad in (["--not_a_key", "1"], ["--synth_lag", "0"], ["--span_mode", "shared"],
-                ["--mask_mode", "node"], ["--alternate_tasks", "true"]):
+                ["--mask_mode", "node"], ["--alternate_tasks", "true"],
+                ["--freeze_encoder", "false"]):
         assert dispatch(["synth-data", "--out", str(out)] + bad) == 3, bad
         assert not out.exists()
     assert "ValueError" not in capsys.readouterr().err

@@ -237,6 +237,27 @@ def test_graph_loader_validates_ids_and_header(tmp_path):
         load_graph(bad, g.node_ids)
 
 
+def test_graph_loader_rejects_self_and_repeated_edges(tmp_path):
+    ids = list("abcd")
+    path = tmp_path / "g.txt"
+    where = re.escape(str(path))
+    for directed in ("0", "1"):
+        path.write_text(f"tcgpn-graph v1 directed={directed} n=4\na,b,1.0\nc,c,1.0\n")
+        with pytest.raises(ValueError, match=f"^{where}:3: self-edge 'c'$"):
+            load_graph(path, ids)
+        path.write_text(f"tcgpn-graph v1 directed={directed} n=4\na,b,1.0\nc,d,1.0\na,b,2.0\n")
+        with pytest.raises(ValueError, match=f"^{where}:4: repeated edge a,b \\(first given on line 2\\)$"):
+            load_graph(path, ids)
+    # undirected: b,a names the edge a,b again
+    path.write_text("tcgpn-graph v1 directed=0 n=4\na,b,1.0\nb,a,2.0\n")
+    with pytest.raises(ValueError, match=f"^{where}:3: repeated edge b,a \\(first given on line 2\\)$"):
+        load_graph(path, ids)
+    # directed: b,a is a different edge from a,b
+    path.write_text("tcgpn-graph v1 directed=1 n=4\na,b,1.0\nb,a,2.0\n")
+    loaded = load_graph(path, ids)
+    assert loaded.weights[0, 1] == 1.0 and loaded.weights[1, 0] == 2.0
+
+
 def test_industry_metadata_round_trip(tmp_path):
     meta = tmp_path / "meta.csv"
     meta.write_text("turnover,symbol,industry,registered_capital\n2.0,a,x,1.0\n4,b,x,2e0\n")

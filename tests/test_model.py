@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tcgpn import data, model
-from tcgpn.model import (EncoderOutput, ModelConfig, adjacency_decoder,
+from tcgpn.model import (ModelConfig, adjacency_decoder,
                          encoder_forward, finetune_head, fuse_and_position,
                          gat_forward, gaussian_mask, init_params,
                          positional_table, temporal_decoder, tgm_block)
@@ -225,10 +225,10 @@ def test_encoder_permutation_equivariance_end_to_end():
     x, conn = random_inputs(cfg, n=6, seed=7)
     rng = np.random.default_rng(1)
     with no_grad():
-        base = encoder_forward(x, conn, params, cfg).o_l.data
+        base = encoder_forward(x, conn, params, cfg).data
         for _ in range(5):
             p = rng.permutation(6)
-            out = encoder_forward(x[p], conn[np.ix_(p, p)], params, cfg).o_l.data
+            out = encoder_forward(x[p], conn[np.ix_(p, p)], params, cfg).data
             rel = np.abs(out - base[p]).max() / (np.abs(base).max() + 1e-8)
             assert rel < 1e-5
 
@@ -243,7 +243,7 @@ def test_encoder_duplicated_node_twins_match():
     conn2[4, :4] = conn[2]
     conn2[:4, 4] = conn[:, 2]
     with no_grad():
-        out = encoder_forward(x2, conn2, params, cfg).o_l.data
+        out = encoder_forward(x2, conn2, params, cfg).data
     assert np.allclose(out[2], out[4], atol=1e-5)
 
 
@@ -270,7 +270,7 @@ def test_gat_stage_keeps_clique_members_distinct():
         params = init_params(cfg, seed=seed)
         with no_grad():
             fused = fuse_and_position(window.panel, params, cfg).data
-            out = encoder_forward(window.panel, graph.weights != 0, params, cfg).o_l.data
+            out = encoder_forward(window.panel, graph.weights != 0, params, cfg).data
         before = _within_cluster_share(fused, clusters)
         after = _within_cluster_share(out, clusters)
         assert after >= 0.5 * before, (seed, before, after)
@@ -290,7 +290,7 @@ def test_encoder_causality_end_to_end_exact():
             pert[:, t + 1:] += rng.normal(size=pert[:, t + 1:].shape)
             out = encoder_forward(pert, conn, params, cfg)
             dec = temporal_decoder(out, params, cfg).data
-            assert np.array_equal(out.o_l.data[:, :t + 1], base.o_l.data[:, :t + 1])
+            assert np.array_equal(out.data[:, :t + 1], base.data[:, :t + 1])
             assert np.array_equal(dec[:, :t + 1], base_dec[:, :t + 1])
 
 
@@ -301,7 +301,24 @@ def test_encoder_without_gat_skips_gat_params():
     x, conn = random_inputs(cfg, n=3)
     with no_grad():
         out = encoder_forward(x, conn, params, cfg)
-    assert out.o_l.shape == (3, cfg.window, cfg.d_model)
+    assert out.shape == (3, cfg.window, cfg.d_model)
+
+
+def test_encoder_records_one_causal_attention_map_per_block():
+    cfg = tiny_cfg(tgm_blocks=3)
+    params = init_params(cfg, seed=13)
+    x, conn = random_inputs(cfg, n=4, seed=10)
+    maps: list = []
+    with no_grad():
+        out = encoder_forward(x, conn, params, cfg, attention_out=maps)
+        plain = encoder_forward(x, conn, params, cfg)
+    assert np.array_equal(out.data, plain.data)
+    assert len(maps) == cfg.tgm_blocks
+    above = np.triu(np.ones((cfg.window, cfg.window), dtype=bool), k=1)
+    for m in maps:
+        assert m.shape == (4, cfg.tgm_heads, cfg.window, cfg.window)
+        assert np.allclose(m.sum(axis=-1), 1.0, atol=1e-6)
+        assert np.all(m[..., above] == 0.0)
 
 
 # decoders and head ----------------------------------------------------------------

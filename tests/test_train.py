@@ -8,7 +8,7 @@ import pytest
 
 from tcgpn import checks, data, losses, model, train
 from tcgpn.data import SyntheticSpec, gen_synthetic, split_by_fraction, window_samples
-from tcgpn.tensorcore import load_checkpoint, memory
+from tcgpn.tensorcore import Adam, load_checkpoint, memory
 
 
 def mini_setup(seed=0, d=70, t=12):
@@ -54,8 +54,6 @@ def test_pretrain_history_and_logs(tmp_path):
     res = train.pretrain(wtrain, wval, graph, cfg, fast_train_cfg(), run_dir=tmp_path)
     assert (tmp_path / "pretrain_log.csv").exists()
     assert res.history and res.history[0].l_t is not None and res.history[0].l_g is not None
-    assert res.history[0].masked_count > 0
-    assert res.history[0].supervised_edge_count > 0
     assert len(res.val_history) == 2
 
 
@@ -98,41 +96,31 @@ def test_finetune_frozen_encoder_bit_identical():
     assert moved
 
 
-def test_finetune_grads_only_cover_head_when_frozen():
+def test_finetune_grads_only_cover_head_when_frozen(monkeypatch):
     _, wtrain, wval, graph, cfg = mini_setup()
-    params = model.init_params(cfg, seed=1)
-    params.set_trainable(False)
-    params.set_trainable(True, "head.")
-    conn = graph.weights != 0
-    w = wtrain[0]
-    out = model.encoder_forward(w.panel, conn, params, cfg)
-    y_hat = model.finetune_head(out.o_l, params, cfg)
-    total, _, _ = losses.loss_finetune(y_hat, w.target, fast_train_cfg().lambda_m)
-    params.zero_grad()
-    total.backward()
-    grads = {p for p, t in params.items() if t.grad is not None}
-    assert grads and all(p.startswith("head.") for p in grads)
+    stepped = []
+    step = Adam.step
+
+    def recording(self, params, grads):
+        stepped.append(set(grads))
+        return step(self, params, grads)
+
+    monkeypatch.setattr(Adam, "step", recording)
+    train.finetune(model.init_params(cfg, seed=1), wtrain, wval, graph, cfg,
+                   fast_train_cfg(epochs=2))
+    assert len(stepped) == 2 * -(-len(wtrain) // fast_train_cfg().batch_size)
+    heads = {p for p in model.param_shapes(cfg) if p.startswith("head.")}
+    assert all(keys == heads for keys in stepped)
 
 
-def test_finetune_unfrozen_updates_encoder():
-    _, wtrain, wval, graph, cfg = mini_setup()
-    params = model.init_params(cfg, seed=5)
-    before = params["fuse.weight"].data.copy()
-    fine = train.finetune(params, wtrain[:4], [], graph, cfg,
-                          fast_train_cfg(epochs=2, freeze_encoder=False, learning_rate=5e-3))
-    assert not np.array_equal(fine.params["fuse.weight"].data, before)
-
-
-@pytest.mark.parametrize("freeze", [True, False])
-def test_finetune_encodes_each_window_once_when_frozen(monkeypatch, freeze):
+def test_finetune_encodes_each_window_once_when_frozen(monkeypatch):
     _, wtrain, wval, graph, cfg = mini_setup()
     calls = []
     encode = model.encoder_forward
     monkeypatch.setattr(model, "encoder_forward", lambda *a, **k: calls.append(1) or encode(*a, **k))
     fine = train.finetune(model.init_params(cfg, seed=2), wtrain, wval, graph, cfg,
-                          fast_train_cfg(epochs=3, freeze_encoder=freeze))
-    per_epoch = len(wtrain) + len(wval)
-    assert len(calls) == (per_epoch if freeze else 3 * per_epoch)
+                          fast_train_cfg(epochs=3))
+    assert len(calls) == len(wtrain) + len(wval)
     monkeypatch.undo()
     rows = train.predict(fine.params, cfg, wval, graph)
     assert fine.best_val == train._mean_ic((r[2], w.target) for r, w in zip(rows, wval))
