@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .tensorcore.checkpoint import atomic_write
+
 
 @dataclass
 class CorrelationGraph:
@@ -146,7 +148,8 @@ def save_graph(path: str | Path, graph: CorrelationGraph) -> None:
         if not graph.directed and i > j:
             continue
         lines.append(f"{graph.node_ids[i]},{graph.node_ids[j]},{float(graph.weights[i, j])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_graph(path: str | Path, node_ids: Sequence[str]) -> CorrelationGraph:

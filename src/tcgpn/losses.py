@@ -13,6 +13,7 @@ import numpy as np
 
 from . import tensorcore as tc
 from .tensorcore import Tensor
+from .tensorcore.checkpoint import atomic_write
 
 
 class ZeroVarianceError(ValueError):
@@ -56,7 +57,7 @@ class LossReport:
 
 
 def write_loss_log(path: str | Path, reports: list[LossReport]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LossReport.FIELDS)
         for r in reports:

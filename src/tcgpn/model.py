@@ -191,27 +191,22 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
     with shared weights. Neighbor sets come from nonzero adjacency entries
     plus an always-present self-loop; per-head aggregations are concatenated.
 
-    The stage runs time-major: x goes to (T, N, d) once, each head attends
-    over (T, N, N) logits [t, i, j], and the result comes back to (N, T, .).
+    The stage runs time-major: x goes to (T, N, d) once, and the result
+    comes back to (N, T, .). Each head scores both halves of its attention
+    vector in one product, e = h @ [a_src a_dst] of shape (T, N, 2);
+    `tc.edge_softmax` builds and normalises the logits on the kept edges
+    only, and the dense (T, N, N) weights aggregate h in one batched product.
     """
     n = x.shape[0]
     if connectivity.shape != (n, n):
         raise ValueError(f"connectivity shape {connectivity.shape} != ({n}, {n})")
     keep = np.asarray(connectivity, dtype=bool) | np.eye(n, dtype=bool)
-    g = cfg.gat_dim
-    half = np.zeros((2 * g, 1), dtype=bool)
-    half[:g] = True
     x_t = tc.transpose(x, (1, 0, 2))  # (T, N, d)
     heads = []
     for k in range(cfg.gat_heads):
-        w = params[f"gat.h{k}.weight"]
-        a = params[f"gat.h{k}.attn"]
-        h = tc.matmul(x_t, w)  # (T, N, g)
-        a_src = tc.reshape(tc.masked_select(a, half), (g, 1))
-        a_dst = tc.reshape(tc.masked_select(a, ~half), (g, 1))
-        e_src = tc.matmul(h, a_src)  # (T, N, 1)
-        e_dst = tc.transpose(tc.matmul(h, a_dst), (0, 2, 1))  # (T, 1, N)
-        alpha = tc.decay_softmax(tc.leaky_relu(e_src + e_dst, cfg.leaky_slope), keep)
+        h = tc.matmul(x_t, params[f"gat.h{k}.weight"])  # (T, N, g)
+        a = tc.transpose(tc.reshape(params[f"gat.h{k}.attn"], (2, cfg.gat_dim)), (1, 0))  # (g, 2)
+        alpha = tc.edge_softmax(tc.matmul(h, a), keep, cfg.leaky_slope)  # (T, N, N)
         heads.append(tc.matmul(alpha, h))  # (T, N, g)
     z = heads[0] if len(heads) == 1 else tc.concat(heads, axis=2)
     return tc.leaky_relu(tc.transpose(z, (1, 0, 2)), cfg.leaky_slope)

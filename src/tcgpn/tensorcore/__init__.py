@@ -13,6 +13,7 @@ from .tensor import (
     concat,
     decay_softmax,
     div,
+    edge_softmax,
     leaky_relu,
     masked_select,
     matmul,
@@ -40,6 +41,7 @@ __all__ = [
     "concat",
     "decay_softmax",
     "div",
+    "edge_softmax",
     "forward_backward",
     "grad_check",
     "leaky_relu",

@@ -9,6 +9,7 @@ and renamed into place, so a reader never sees a partial checkpoint.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -24,6 +25,21 @@ _PREFIX = len(MAGIC) + 4  # magic + header length
 _DTYPE_CODES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
+    """Open a temporary sibling of `path` for writing and rename it over
+    `path` once the block completes. If the block or the rename fails, the
+    temporary file is removed and `path` keeps its previous contents."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(path: str | Path, params: ParamStore, config: dict | None = None) -> None:
     entries = []
     blobs = []
@@ -35,18 +51,12 @@ def save_checkpoint(path: str | Path, params: ParamStore, config: dict | None = 
         blobs.append(raw)
         offset += len(raw)
     header = json.dumps({"config": config, "entries": entries}).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            for raw in blobs:
-                fh.write(raw)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        for raw in blobs:
+            fh.write(raw)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict | None]:

@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-The primitive set is closed, 16 in all: add, sub, mul, div, neg, matmul,
+The primitive set is closed, 17 in all: add, sub, mul, div, neg, matmul,
 transpose, reshape, concat, normalize (zero mean, unit variance over the last
 axis), relu, leaky_relu, decay_softmax (attention normalisation under a
-constant weight array), sum, mean and masked_select.
+constant weight array), edge_softmax (graph attention over the kept edges of
+a constant neighbour mask), sum, mean and masked_select.
 Every primitive has an exact vector-Jacobian product, so any composition of
 them has exact gradients; the finite-difference checker in gradcheck.py
 verifies this.
@@ -122,8 +123,11 @@ class Tensor:
     # backward -------------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar. Populates .grad on every
-        requires_grad tensor reachable from this node."""
+        """Backpropagate from a scalar. Adds into .grad on every leaf (a
+        requires_grad tensor with no parents) reachable from this node.
+        Intermediate gradients are released as soon as they have been
+        propagated, so they are None afterwards and a second call adds the
+        same gradients onto the leaves again."""
         if self.data.size != 1:
             raise ShapeError("backward", f"loss must be scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -154,6 +158,8 @@ class Tensor:
                     parent.grad = contrib
                 else:
                     parent.grad = parent.grad + contrib
+            if node._parents:
+                node.grad = None
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], vjps: Sequence[Callable]) -> Tensor:
@@ -376,8 +382,8 @@ def relu(a) -> Tensor:
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = _coerce(a)
     pos = a.data > 0
-    factor = np.where(pos, a.data.dtype.type(1), a.data.dtype.type(slope))
-    return _result(a.data * factor, (a,), (lambda g: g * factor,))
+    slope = a.data.dtype.type(slope)
+    return _result(np.where(pos, a.data, a.data * slope), (a,), (lambda g: np.where(pos, g, g * slope),))
 
 
 def decay_softmax(a, decay: np.ndarray) -> Tensor:
@@ -406,6 +412,58 @@ def decay_softmax(a, decay: np.ndarray) -> Tensor:
         return _unbroadcast(y * (g - (g * y).sum(axis=-1, keepdims=True)), a.data.shape)
 
     return _result(y, (a,), (vjp,))
+
+
+def edge_softmax(e, keep: np.ndarray, slope: float) -> Tensor:
+    """Graph-attention weights computed on the kept edges only.
+
+    `e` is (T, N, 2): column 0 holds each node's score as the attending row,
+    column 1 its score as an attended column. For every kept edge (i, j) of
+    the constant (N, N) boolean mask the logit is
+    leaky_relu(e[t, i, 0] + e[t, j, 1], slope), and each row is softmaxed
+    over its kept edges. Returns the dense (T, N, N) weights, exactly zero
+    off the kept edges. Every row needs a kept entry.
+
+    Edges are taken in row-major order, so each row's edges are one segment
+    and the row max and sum are segment reductions; the backward is the
+    closed form y (g - sum_row g y) through the leaky slope, summed per row
+    into column 0 and per column into column 1.
+    """
+    e = _coerce(e)
+    keep = np.asarray(keep, dtype=bool)
+    t, n = e.data.shape[:2]
+    if e.data.shape != (t, n, 2) or keep.shape != (n, n):
+        raise ShapeError("edge_softmax",
+                         f"need scores (T, N, 2) and keep (N, N), got {e.data.shape} and {keep.shape}")
+    row_counts = keep.sum(axis=1)
+    if not row_counts.all():
+        raise ValueError(f"edge_softmax: row {int(np.argmin(row_counts))} of keep has no kept entry")
+    flat = np.flatnonzero(keep)
+    rows, cols = np.divmod(flat, n)
+    starts = np.cumsum(row_counts) - row_counts  # first edge of each row
+    slope = e.data.dtype.type(slope)
+    s = e.data[:, rows, 0] + e.data[:, cols, 1]  # (T, E) logits
+    pos = s > 0
+    s = np.where(pos, s, s * slope)
+    s -= np.repeat(np.maximum.reduceat(s, starts, axis=1), row_counts, axis=1)
+    np.exp(s, out=s)
+    s /= np.repeat(np.add.reduceat(s, starts, axis=1), row_counts, axis=1)
+    y = np.zeros((t, n * n), dtype=e.data.dtype)
+    y[:, flat] = s
+
+    def vjp(g):
+        g_e = g[:, rows, cols]
+        ds = s * (g_e - np.repeat(np.add.reduceat(g_e * s, starts, axis=1), row_counts, axis=1))
+        ds = np.where(pos, ds, ds * slope)
+        by_col = np.argsort(cols, kind="stable")  # each column's edges as one segment
+        col_counts = np.bincount(cols, minlength=n)
+        used = col_counts > 0  # a column may have no kept entry
+        out = np.zeros((t, n, 2), dtype=e.data.dtype)
+        out[:, :, 0] = np.add.reduceat(ds, starts, axis=1)
+        out[:, used, 1] = np.add.reduceat(ds[:, by_col], (np.cumsum(col_counts) - col_counts)[used], axis=1)
+        return out
+
+    return _result(y.reshape(t, n, n), (e,), (vjp,))
 
 
 # reductions ----------------------------------------------------------------

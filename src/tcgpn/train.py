@@ -23,6 +23,7 @@ from . import augment, backtest, losses, model
 from .data import TimePanel, WindowSample
 from .graphs import CorrelationGraph
 from .tensorcore import Adam, ParamStore, Tensor, no_grad, save_checkpoint, load_checkpoint
+from .tensorcore.checkpoint import atomic_write
 
 
 @dataclass
@@ -272,7 +273,7 @@ def predict(params: ParamStore, model_cfg: model.ModelConfig,
 
 
 def write_predictions(path: str | Path, rows: list[tuple[str, list[str], np.ndarray]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, encoding="utf-8") as fh:
         fh.write("date,symbol,score\n")
         for date, node_ids, scores in rows:
             for sym, s in zip(node_ids, scores):

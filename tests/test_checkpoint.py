@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from tcgpn import model, train
+from tcgpn import graphs, losses, model, train
 from tcgpn.tensorcore import checkpoint as checkpoint_module
 from tcgpn.tensorcore import MAGIC, ParamStore, load_checkpoint, save_checkpoint
 
@@ -169,3 +169,28 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
         save_checkpoint(path, other)
     assert path.read_bytes() == raw
     assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]  # no temporary file left
+
+
+def _write_predictions(path, bad):
+    train.write_predictions(path, [("2020-01-02", ["a", "b"], [1.0, "x" if bad else 2.0])])
+
+
+def _save_graph(path, bad):
+    ids = ["a", "\ud800" if bad else "b"]  # a lone surrogate cannot be encoded as UTF-8
+    graphs.save_graph(path, graphs.CorrelationGraph(2, np.array([[0.0, 1.0], [1.0, 0.0]]), False, ids))
+
+
+def _write_loss_log(path, bad):
+    losses.write_loss_log(path, [losses.LossReport(step=0, l_t=1.0),
+                                 losses.LossReport(step=1, l_t="x" if bad else 2.0)])
+
+
+@pytest.mark.parametrize("write", [_write_predictions, _save_graph, _write_loss_log])
+def test_failed_artifact_write_keeps_previous_file(tmp_path, write):
+    path = tmp_path / "artifact.csv"
+    write(path, bad=False)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # raised after part of the new file is written
+        write(path, bad=True)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]

@@ -135,6 +135,23 @@ def test_gat_forward_matches_numpy_reference():
     np.testing.assert_allclose(out, leaky(expected), rtol=1e-10, atol=0)
 
 
+def test_gat_allocates_one_dense_attention_tensor_per_head(monkeypatch):
+    from tcgpn.tensorcore import memory
+    cfg = tiny_cfg(gat_heads=3)
+    params = init_params(cfg, seed=6)
+    n = 40
+    x, conn = random_inputs(cfg, n=n, seed=7, density=0.1)
+    sizes = []
+    note_alloc = memory.note_alloc
+    monkeypatch.setattr(memory, "note_alloc", lambda nbytes: (sizes.append(nbytes), note_alloc(nbytes)))
+    fused = Tensor(fuse_and_position(x, params, cfg).data)
+    sizes.clear()
+    with no_grad():
+        gat_forward(fused, conn, params, cfg)
+    dense = cfg.window * n * n * fused.data.itemsize  # one (T, N, N) attention tensor
+    assert sizes.count(dense) == cfg.gat_heads
+
+
 def test_gat_permutation_equivariant():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=5)

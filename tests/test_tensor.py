@@ -67,6 +67,9 @@ def test_shape_mismatch_names_op():
     ("div", lambda t: tc.sum(t / (t * t + 1.0))),
     ("transpose", lambda t: tc.sum(tc.transpose(t, (1, 0)) @ t)),
     ("reshape", lambda t: tc.sum(tc.reshape(t, (6,)) * tc.reshape(t, (6,)))),
+    ("edge_softmax", lambda t: tc.sum(tc.edge_softmax(  # column 2 has no kept entry
+        tc.reshape(t, (1, 3, 2)), np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0]], dtype=bool), 0.2)
+        * np.arange(9.0).reshape(3, 3))),
 ])
 def test_elementwise_vjps_match_finite_differences(op, build):
     rng = np.random.default_rng(3)
@@ -213,6 +216,47 @@ def test_decay_softmax_zero_weight_scores_cannot_move_output():
         assert np.all(base[dropped] == 0.0)
 
 
+def _dense_edge_softmax(e: Tensor, keep: np.ndarray, slope: float) -> Tensor:
+    """Reference: graph attention over every (i, j) pair, as the GAT ran it
+    before edge_softmax (transpose, add, leaky_relu, decay_softmax(keep))."""
+    src = tc.matmul(e, np.array([[1.0], [0.0]]))  # (T, N, 1); exact, it adds zeros
+    dst = tc.transpose(tc.matmul(e, np.array([[0.0], [1.0]])), (0, 2, 1))  # (T, 1, N)
+    return tc.decay_softmax(tc.leaky_relu(src + dst, slope), keep)
+
+
+def test_edge_softmax_equals_dense_composition():
+    rng = np.random.default_rng(24)
+    keep = (rng.uniform(size=(7, 7)) < 0.3) | np.eye(7, dtype=bool)
+    keep[2] = np.arange(7) == 2  # a row with only its self-loop
+    assert not np.array_equal(keep, keep.T)
+    shape = (4, 7, 2)
+    for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
+        raw = (rng.normal(size=shape) * 3).astype(dtype)
+        edge = tc.edge_softmax(Tensor(raw), keep, 0.2).data
+        assert edge.dtype == dtype and edge.shape == (4, 7, 7)
+        assert np.all(edge[:, ~keep] == 0.0)  # exactly zero, not rounding noise
+        assert np.abs(edge - _dense_edge_softmax(Tensor(raw), keep, 0.2).data).max() < tol
+
+    raw = rng.normal(size=shape) * 3
+    upstream = rng.normal(size=(4, 7, 7))
+    grads = []
+    for softmax in (tc.edge_softmax, _dense_edge_softmax):
+        e = Tensor(raw.copy(), requires_grad=True)
+        tc.sum(softmax(e, keep, 0.2) * upstream).backward()
+        grads.append(e.grad)
+    assert grads[0].shape == shape
+    assert np.abs(grads[0] - grads[1]).max() < 1e-12
+
+
+def test_edge_softmax_rejects_row_without_kept_entry():
+    keep = np.eye(3, dtype=bool)
+    keep[1, 1] = False
+    with pytest.raises(ValueError, match="row 1"):
+        tc.edge_softmax(Tensor(np.zeros((2, 3, 2))), keep, 0.2)
+    with pytest.raises(ShapeError, match="edge_softmax"):
+        tc.edge_softmax(Tensor(np.zeros((2, 3, 1))), np.eye(3, dtype=bool), 0.2)
+
+
 def _nine_node_layer_norm(x: Tensor, gamma, beta, eps: float) -> Tensor:
     """Reference: layer norm composed from single-purpose nodes (mean, sub,
     mul, mean, add, sqrt, div, mul, add)."""
@@ -259,6 +303,19 @@ def test_grad_accumulates_across_reuse():
     loss = tc.sum(p * p + p * 3.0)
     loss.backward()
     assert np.allclose(p.grad, [2 * 2.0 + 3.0])
+
+
+def test_second_backward_doubles_leaf_grads_and_releases_intermediates():
+    p = Tensor(np.array([2.0]), requires_grad=True)
+    square = p * p
+    scaled = square * 3.0
+    loss = tc.sum(scaled)
+    loss.backward()
+    assert np.array_equal(p.grad, [12.0])
+    assert square.grad is None and scaled.grad is None and loss.grad is None
+    loss.backward()
+    assert np.array_equal(p.grad, [24.0])
+    assert square.grad is None and scaled.grad is None and loss.grad is None
 
 
 def test_no_grad_prunes_graph():
