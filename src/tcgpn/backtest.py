@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import check_date
+from .tensorcore.checkpoint import atomic_write
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -242,19 +243,18 @@ def compute_metrics(pnl: PnlSeries, trading_days_per_year: int = TRADING_DAYS_PE
 
 
 def write_metrics_csv(path: str | Path, report: MetricsReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
-        for key, value in report.as_dict().items():
-            writer.writerow([key, "" if value is None else repr(float(value))])
+        writer.writerows([key, "" if value is None else repr(float(value))]
+                         for key, value in report.as_dict().items())
 
 
 def write_ic_csv(path: str | Path, dates: list[str], ics: list[float]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "ic"])
-        for d, v in zip(dates, ics):
-            writer.writerow([d, repr(float(v))])
+        writer.writerows([d, repr(float(v))] for d, v in zip(dates, ics))
 
 
 def write_pnl_svg(path: str | Path, pnl: PnlSeries, width: int = 720, height: int = 320) -> None:
@@ -276,4 +276,5 @@ def write_pnl_svg(path: str | Path, pnl: PnlSeries, width: int = 720, height: in
 <polyline points="{points}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>
 </svg>
 """
-    Path(path).write_text(svg, encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.write(svg)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import backtest, checks, config, data, graphs, train
 from .config import ConfigError
+from .tensorcore.checkpoint import atomic_write
 
 
 def _positive_int(raw: str) -> int:
@@ -144,11 +145,8 @@ def _make_run_dir(base: str | Path, seed: int) -> Path:
 
 
 def _hash_inputs(run_dir: Path, paths: list[str | Path]) -> None:
-    lines = []
-    for p in paths:
-        digest = hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        lines.append(f"{digest}  {p}")
-    (run_dir / "inputs.sha256").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(run_dir / "inputs.sha256", encoding="utf-8") as fh:
+        fh.writelines(f"{hashlib.sha256(Path(p).read_bytes()).hexdigest()}  {p}\n" for p in paths)
 
 
 def _split(panel: data.TimePanel, values):
@@ -300,8 +298,7 @@ def cmd_gradcheck(args, values) -> int:
 
 def _sweep_point(payload) -> dict:
     values, point, out_dir = payload
-    merged = dict(values)
-    merged.update(point)
+    merged = {**values, **point}
     panel, graph = data.gen_synthetic(config.to_synthetic_spec(merged))
     windows, model_cfg = _split_windows(panel, merged)
     pre_cfg = config.to_train_config(merged, "pretrain")
@@ -312,10 +309,7 @@ def _sweep_point(payload) -> dict:
     pre = train.pretrain(windows[0], windows[1], graph, model_cfg, pre_cfg, run_dir=run_dir)
     fine = train.finetune(pre.params, windows[0], windows[1], graph, model_cfg, fine_cfg,
                           run_dir=run_dir)
-    row = dict(point)
-    row["pretrain_val_loss"] = pre.best_val
-    row["val_ic"] = fine.best_val
-    return row
+    return {**point, "pretrain_val_loss": pre.best_val, "val_ic": fine.best_val}
 
 
 def cmd_sweep(args, values) -> int:
@@ -340,10 +334,9 @@ def cmd_sweep(args, values) -> int:
     else:
         rows = [_sweep_point(p) for p in payloads]
     header = keys + ["pretrain_val_loss", "val_ic"]
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[h]) for h in header))
-    (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = [",".join(header)] + [",".join(str(row[h]) for h in header) for row in rows]
+    with atomic_write(out / "summary.csv", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 

@@ -14,6 +14,7 @@ from typing import Any
 
 from .data import SyntheticSpec
 from .model import ModelConfig
+from .tensorcore.checkpoint import atomic_write
 from .train import TrainConfig
 
 
@@ -149,8 +150,8 @@ def resolve(config_path: str | Path | None = None, overrides: list[str] | None =
 
 
 def dump(values: dict[str, Any], path: str | Path) -> None:
-    lines = [f"{k} = {values[k]}" for k in sorted(values)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path, encoding="utf-8") as fh:
+        fh.writelines(f"{k} = {values[k]}\n" for k in sorted(values))
 
 
 def _construct(cls, **fields):

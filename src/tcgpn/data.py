@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import CorrelationGraph
+from .tensorcore.checkpoint import atomic_write
 
 
 @dataclass
@@ -207,18 +208,13 @@ def split_by_year(panel: TimePanel, train_years: int = 10, val_years: int = 1,
     if len(years) < need:
         raise ValueError(f"panel spans {len(years)} calendar years, need {need}")
     use = years[-need:]
-    train_set = set(use[:train_years])
-    val_set = set(use[train_years:train_years + val_years])
-    test_set = set(use[train_years + val_years:])
+    cuts = (use[:train_years], use[train_years:train_years + val_years], use[train_years + val_years:])
 
-    def bounds(year_set):
+    def part(year_set):
         idx = [i for i, d in enumerate(panel.dates) if d[:4] in year_set]
-        return idx[0], idx[-1] + 1
+        return panel.slice_dates(idx[0], idx[-1] + 1)
 
-    a = panel.slice_dates(*bounds(train_set))
-    b = panel.slice_dates(*bounds(val_set))
-    c = panel.slice_dates(*bounds(test_set))
-    return a, b, c
+    return tuple(part(set(span)) for span in cuts)
 
 
 def split_by_fraction(panel: TimePanel, train_frac: float = 0.7,
@@ -235,7 +231,7 @@ def split_by_fraction(panel: TimePanel, train_frac: float = 0.7,
 
 def save_panel(path: str | Path, panel: TimePanel) -> None:
     """Write the panel CSV schema (date,symbol,<features...>,target)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "symbol"] + list(panel.feature_names) + ["target"])
         for i, sym in enumerate(panel.node_ids):
@@ -247,12 +243,11 @@ def save_panel(path: str | Path, panel: TimePanel) -> None:
 
 def save_returns(path: str | Path, panel: TimePanel) -> None:
     """Write the realized-target series as a returns CSV (date,symbol,return)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "symbol", "return"])
-        for i, sym in enumerate(panel.node_ids):
-            for j, d in enumerate(panel.dates):
-                writer.writerow([d, sym, repr(float(panel.targets[i, j]))])
+        writer.writerows([d, sym, repr(float(panel.targets[i, j]))]
+                         for i, sym in enumerate(panel.node_ids) for j, d in enumerate(panel.dates))
 
 
 # standardization -------------------------------------------------------------
@@ -314,11 +309,9 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[TimePanel, CorrelationGraph]:
                 noise = rng.normal(0.0, spec.noise_std, size=d) if spec.noise_std > 0 else 0.0
                 series[i] = path[:d] + noise
                 node_ids.append(f"C{c:02d}F{k:02d}")
-        for i in members:
-            for j in members:
-                if i != j:
-                    truth[i, j] = 1.0
+        truth[pos:pos + spec.nodes_per_cluster, pos:pos + spec.nodes_per_cluster] = 1.0
         pos += spec.nodes_per_cluster
+    np.fill_diagonal(truth, 0.0)
 
     change = np.zeros_like(series)
     change[:, 1:] = series[:, 1:] - series[:, :-1]

@@ -75,17 +75,14 @@ def build_industry_graph(nodes: Sequence[tuple[str, str, float, float]]) -> Corr
     ids = [n[0] for n in nodes]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate node_id in industry metadata")
-    industries = [n[1] for n in nodes]
+    industries = np.array([n[1] for n in nodes])
     cap = np.array([float(n[2]) for n in nodes])
     turn = np.array([float(n[3]) for n in nodes])
     if np.any(cap <= 0) or np.any(turn <= 0):
         raise ValueError("registered capital and turnover must be strictly positive")
     n = len(nodes)
-    weights = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and industries[i] == industries[j]:
-                weights[i, j] = cap[j] / cap[i] + turn[j] / turn[i]
+    same = (industries[:, None] == industries[None, :]) & ~np.eye(n, dtype=bool)
+    weights = np.where(same, cap[None, :] / cap[:, None] + turn[None, :] / turn[:, None], 0.0)
     return CorrelationGraph(n_nodes=n, weights=weights, directed=True, node_ids=list(ids))
 
 

@@ -60,8 +60,7 @@ def write_loss_log(path: str | Path, reports: list[LossReport]) -> None:
     with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LossReport.FIELDS)
-        for r in reports:
-            writer.writerow(r.row())
+        writer.writerows(r.row() for r in reports)
 
 
 def _as_const(x, like: Tensor) -> Tensor:

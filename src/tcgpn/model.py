@@ -162,14 +162,6 @@ def gaussian_mask(window: int, sigma_h: float) -> np.ndarray:
     return out
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return tc.matmul(x, w) + b
-
-
-def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    return tc.normalize(x, eps) * gamma + beta
-
-
 # forward passes ----------------------------------------------------------------
 
 
@@ -182,7 +174,7 @@ def fuse_and_position(values, params: ParamStore, cfg: ModelConfig) -> Tensor:
     if x.shape[1] != cfg.window:
         raise ValueError(f"window {x.shape[1]} != configured {cfg.window}")
     pe = positional_table(cfg.window, cfg.d_model).astype(w.data.dtype)
-    return _linear(x, w, b) + pe[None, :, :]
+    return tc.linear(x, w, b) + pe[None, :, :]
 
 
 def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
@@ -204,9 +196,9 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
     x_t = tc.transpose(x, (1, 0, 2))  # (T, N, d)
     heads = []
     for k in range(cfg.gat_heads):
-        h = tc.matmul(x_t, params[f"gat.h{k}.weight"])  # (T, N, g)
+        h = tc.linear(x_t, params[f"gat.h{k}.weight"])  # (T, N, g)
         a = tc.transpose(tc.reshape(params[f"gat.h{k}.attn"], (2, cfg.gat_dim)), (1, 0))  # (g, 2)
-        alpha = tc.edge_softmax(tc.matmul(h, a), keep, cfg.leaky_slope)  # (T, N, N)
+        alpha = tc.edge_softmax(tc.linear(h, a), keep, cfg.leaky_slope)  # (T, N, N)
         heads.append(tc.matmul(alpha, h))  # (T, N, g)
     z = heads[0] if len(heads) == 1 else tc.concat(heads, axis=2)
     return tc.leaky_relu(tc.transpose(z, (1, 0, 2)), cfg.leaky_slope)
@@ -224,19 +216,19 @@ def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,
     def split_heads(y: Tensor) -> Tensor:
         return tc.transpose(tc.reshape(y, (n, t, n_heads, dk)), (0, 2, 1, 3))
 
-    q = split_heads(_linear(x, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]))
-    k = split_heads(tc.matmul(x, params[f"{prefix}.attn.wk"]))
-    v = split_heads(_linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]))
+    q = split_heads(tc.linear(x, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]))
+    k = split_heads(tc.linear(x, params[f"{prefix}.attn.wk"]))
+    v = split_heads(tc.linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]))
     scores = tc.matmul(q, tc.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
     weights = tc.decay_softmax(scores, decay)  # (N, H, T, T)
     if attention_out is not None:
         attention_out.append(weights.data.copy())
     mixed = tc.reshape(tc.transpose(tc.matmul(weights, v), (0, 2, 1, 3)), (n, t, d))
-    mixed = _linear(mixed, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
-    x1 = _layer_norm(x + mixed, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
-    inner = tc.relu(_linear(x1, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
-    ffn = _linear(inner, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
-    return _layer_norm(x1 + ffn, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
+    mixed = tc.linear(mixed, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
+    x1 = tc.normalize(x + mixed, 1e-5, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
+    inner = tc.relu(tc.linear(x1, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
+    ffn = tc.linear(inner, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
+    return tc.normalize(x1 + ffn, 1e-5, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
 
 
 def encoder_forward(values, connectivity: np.ndarray, params: ParamStore, cfg: ModelConfig,
@@ -253,10 +245,10 @@ def encoder_forward(values, connectivity: np.ndarray, params: ParamStore, cfg: M
     """
     x = fuse_and_position(values, params, cfg)
     if cfg.use_gat:
-        x = x + _linear(gat_forward(x, connectivity, params, cfg),
-                        params["proj.weight"], params["proj.bias"])
+        x = x + tc.linear(gat_forward(x, connectivity, params, cfg),
+                          params["proj.weight"], params["proj.bias"])
     else:
-        x = _linear(x, params["proj.weight"], params["proj.bias"])
+        x = tc.linear(x, params["proj.weight"], params["proj.bias"])
     decay = gaussian_mask(cfg.window, cfg.sigma_h)
     for i in range(cfg.tgm_blocks):
         x = tgm_block(x, params, f"enc.block{i}", cfg, decay, attention_out)
@@ -267,7 +259,7 @@ def temporal_decoder(o_l: Tensor, params: ParamStore, cfg: ModelConfig) -> Tenso
     """Causal single-block decoder mapping encodings back to feature space."""
     decay = gaussian_mask(cfg.window, cfg.sigma_h)
     x = tgm_block(o_l, params, "dec.block0", cfg, decay)
-    return _linear(x, params["dec.out.weight"], params["dec.out.bias"])
+    return tc.linear(x, params["dec.out.weight"], params["dec.out.bias"])
 
 
 def adjacency_decoder(o_l: Tensor, params: ParamStore) -> Tensor:
@@ -275,8 +267,8 @@ def adjacency_decoder(o_l: Tensor, params: ParamStore) -> Tensor:
     two linear maps produce left/right factors whose outer product is the
     predicted adjacency (rank bounded by the factor width)."""
     summary = tc.mean(o_l, axis=1)  # (N, d_model)
-    left = _linear(summary, params["adj.left.weight"], params["adj.left.bias"])
-    right = _linear(summary, params["adj.right.weight"], params["adj.right.bias"])
+    left = tc.linear(summary, params["adj.left.weight"], params["adj.left.bias"])
+    right = tc.linear(summary, params["adj.right.weight"], params["adj.right.bias"])
     return tc.matmul(left, tc.transpose(right, (1, 0)))
 
 
@@ -284,9 +276,9 @@ def finetune_head(o_l: Tensor, params: ParamStore, cfg: ModelConfig) -> Tensor:
     """Per-node score: residual two-layer MLP on the encoding, then a predict
     layer over the flattened window."""
     n, t, d = o_l.shape
-    inner = tc.relu(_linear(o_l, params["head.fc1.weight"], params["head.fc1.bias"]))
-    inner = _linear(inner, params["head.fc2.weight"], params["head.fc2.bias"])
+    inner = tc.relu(tc.linear(o_l, params["head.fc1.weight"], params["head.fc1.bias"]))
+    inner = tc.linear(inner, params["head.fc2.weight"], params["head.fc2.bias"])
     merged = inner + o_l
     flat = tc.reshape(merged, (n, t * d))
-    score = _linear(flat, params["head.out.weight"], params["head.out.bias"])
+    score = tc.linear(flat, params["head.out.weight"], params["head.out.bias"])
     return tc.reshape(score, (n,))

@@ -15,6 +15,7 @@ from .tensor import (
     div,
     edge_softmax,
     leaky_relu,
+    linear,
     masked_select,
     matmul,
     mean,
@@ -45,6 +46,7 @@ __all__ = [
     "forward_backward",
     "grad_check",
     "leaky_relu",
+    "linear",
     "load_checkpoint",
     "masked_select",
     "matmul",

@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-The primitive set is closed, 17 in all: add, sub, mul, div, neg, matmul,
+The primitive set is closed, 18 in all: add, sub, mul, div, neg, matmul,
+linear (a stacked input times one matrix plus an optional bias, as one GEMM),
 transpose, reshape, concat, normalize (zero mean, unit variance over the last
-axis), relu, leaky_relu, decay_softmax (attention normalisation under a
-constant weight array), edge_softmax (graph attention over the kept edges of
-a constant neighbour mask), sum, mean and masked_select.
+axis, with an optional affine gain and shift), relu, leaky_relu,
+decay_softmax (attention normalisation under a constant weight array),
+edge_softmax (graph attention over the kept edges of a constant neighbour
+mask), sum, mean and masked_select.
 Every primitive has an exact vector-Jacobian product, so any composition of
 them has exact gradients; the finite-difference checker in gradcheck.py
 verifies this.
@@ -268,17 +270,14 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with stacked (batched) leading dimensions.
-
-    A stacked `a` times one matrix `b` folds a's leading dimensions into
-    rows, so the forward and each gradient are one GEMM and b's gradient
-    never materialises a per-row-block stack to be summed."""
+    """Matrix product with stacked (batched) leading dimensions. A stacked `a`
+    times one matrix `b` is `linear(a, b)`, one GEMM forward and backward."""
     a = _coerce(a)
     b = _coerce(b, like=a)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul", f"operands need ndim >= 2, got {a.data.shape} @ {b.data.shape}")
     if b.data.ndim == 2 and a.data.ndim > 2:
-        return _folded_matmul(a, b)
+        return linear(a, b)
     try:
         data = a.data @ b.data
     except ValueError as e:
@@ -293,20 +292,25 @@ def matmul(a, b) -> Tensor:
     return _result(data, (a, b), (grad_a, grad_b))
 
 
-def _folded_matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., d) @ (d, k) as one (rows, d) @ (d, k) product."""
-    d, k = b.data.shape
-    if a.data.shape[-1] != d:
-        raise ShapeError("matmul", f"inner dimensions differ: {a.data.shape} @ {b.data.shape}")
-    data = (a.data.reshape(-1, d) @ b.data).reshape(a.data.shape[:-1] + (k,))
-
-    def grad_a(g):
-        return (g.reshape(-1, k) @ b.data.T).reshape(a.data.shape)
-
-    def grad_b(g):  # a non-contiguous `a` is copied here, not kept alive from the forward
-        return a.data.reshape(-1, d).T @ g.reshape(-1, k)
-
-    return _result(data, (a, b), (grad_a, grad_b))
+def linear(x, w, b=None) -> Tensor:
+    """x @ w + b, bit-identically, for a stacked x (..., d), one (d, k) matrix
+    and an optional (k,) bias: one (rows, d) @ (d, k) GEMM with the bias
+    added in place. w's gradient copies a non-contiguous x, not kept alive."""
+    x = _coerce(x)
+    w = _coerce(w, like=x)
+    if x.data.ndim < 1 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError("linear", f"need (..., d) @ (d, k), got {x.data.shape} @ {w.data.shape}")
+    d, k = w.data.shape
+    out = x.data.reshape(-1, d) @ w.data
+    parents, vjps = (x, w), (lambda g: (g.reshape(-1, k) @ w.data.T).reshape(x.data.shape),
+                             lambda g: x.data.reshape(-1, d).T @ g.reshape(-1, k))
+    if b is not None:
+        b = _coerce(b, like=x)
+        if b.data.shape != (k,):
+            raise ShapeError("linear", f"bias shape {b.data.shape} != ({k},)")
+        out += b.data
+        parents, vjps = parents + (b,), vjps + (lambda g: g.reshape(-1, k).sum(axis=0),)
+    return _result(out.reshape(x.data.shape[:-1] + (k,)), parents, vjps)
 
 
 # shape manipulation --------------------------------------------------------
@@ -356,21 +360,38 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 # elementwise ---------------------------------------------------------------
 
 
-def normalize(a, eps: float) -> Tensor:
-    """(a - mean) / sqrt(var + eps) over the last axis, with the population
-    variance. The backward is the closed form (g - mean(g) - y mean(g y)) / std."""
+def normalize(a, eps: float, gamma=None, beta=None) -> Tensor:
+    """y = (a - mean) / sqrt(var + eps) over the last axis, with the population
+    variance, then `* gamma + beta` in place if given: a layer norm,
+    bit-identical to that composition. The backward is the closed form
+    (g' - mean(g') - y mean(g' y)) / std with g' = g * gamma. No (..., d)
+    array is kept besides the output: y is recomputed from the input."""
     a = _coerce(a)
     x = a.data
-    axis = (x.ndim - 1,)
-    centered = x - x.mean(axis=axis, keepdims=True)
-    var = (centered * centered).mean(axis=axis, keepdims=True)
-    std = np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    y = centered / std
+    mu = x.mean(axis=-1, keepdims=True)
+    out = x - mu
+    std = np.sqrt((out * out).mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.dtype))
+    out /= std
+    if gamma is not None:
+        gamma, beta = _coerce(gamma, like=a), _coerce(beta, like=a)
+        out *= gamma.data
+        out += beta.data
+    parents = (a,) if gamma is None else (a, gamma, beta)
+    held = []  # y recomputed by the input's vjp, handed on to gamma's
 
-    def vjp(g):
-        return (g - g.mean(axis=axis, keepdims=True) - y * (g * y).mean(axis=axis, keepdims=True)) / std
+    def rows():
+        return out if gamma is None else held.pop() if held else (x - mu) / std
 
-    return _result(y, (a,), (vjp,))
+    def grad_a(g):
+        y = rows()
+        if gamma is not None:
+            g = g * gamma.data
+            if gamma.requires_grad:
+                held.append(y)
+        return (g - g.mean(axis=-1, keepdims=True) - y * (g * y).mean(axis=-1, keepdims=True)) / std
+
+    return _result(out, parents, (grad_a, lambda g: _unbroadcast(g * rows(), gamma.data.shape),
+                                  lambda g: _unbroadcast(g, beta.data.shape))[:len(parents)])
 
 
 def relu(a) -> Tensor:

@@ -1,13 +1,14 @@
 """Checkpoint round-trips, malformed-file rejection, atomic writes, config
 embedding."""
 
+import argparse
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from tcgpn import graphs, losses, model, train
+from tcgpn import backtest, cli, config, data, graphs, losses, model, train
 from tcgpn.tensorcore import checkpoint as checkpoint_module
 from tcgpn.tensorcore import MAGIC, ParamStore, load_checkpoint, save_checkpoint
 
@@ -171,26 +172,95 @@ def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]  # no temporary file left
 
 
-def _write_predictions(path, bad):
+def _write_predictions(out, bad):
+    path = out / "predictions.csv"
     train.write_predictions(path, [("2020-01-02", ["a", "b"], [1.0, "x" if bad else 2.0])])
+    return path
 
 
-def _save_graph(path, bad):
+def _save_graph(out, bad):
+    path = out / "graph.csv"
     ids = ["a", "\ud800" if bad else "b"]  # a lone surrogate cannot be encoded as UTF-8
     graphs.save_graph(path, graphs.CorrelationGraph(2, np.array([[0.0, 1.0], [1.0, 0.0]]), False, ids))
+    return path
 
 
-def _write_loss_log(path, bad):
+def _write_loss_log(out, bad):
+    path = out / "losses.csv"
     losses.write_loss_log(path, [losses.LossReport(step=0, l_t=1.0),
                                  losses.LossReport(step=1, l_t="x" if bad else 2.0)])
+    return path
 
 
-@pytest.mark.parametrize("write", [_write_predictions, _save_graph, _write_loss_log])
+def _write_metrics_csv(out, bad):
+    path = out / "metrics.csv"
+    report = backtest.MetricsReport(ic=0.1, pnl=0.2, ar=0.3, vol=0.4, sharpe="x" if bad else 0.5,
+                                    mdd=0.1, calmar=None, winr=0.5, pl_ratio=None, n_days=3)
+    backtest.write_metrics_csv(path, report)
+    return path
+
+
+def _write_ic_csv(out, bad):
+    path = out / "ic.csv"
+    backtest.write_ic_csv(path, ["2020-01-02", "2020-01-03"], [0.1, "x" if bad else 0.2])
+    return path
+
+
+def _write_pnl_svg(out, bad):
+    path = out / "pnl.svg"
+    dates = ["2020-01-02", "\ud800" if bad else "2020-01-03"]
+    backtest.write_pnl_svg(path, backtest.PnlSeries.from_daily(dates, [0.1, -0.2]))
+    return path
+
+
+def _config_dump(out, bad):
+    path = out / "config.txt"
+    config.dump({"a": 1, "b": "\ud800" if bad else "x"}, path)
+    return path
+
+
+def _panel(bad):
+    return data.TimePanel(node_ids=["a", "\ud800" if bad else "b"], dates=["2020-01-02", "2020-01-03"],
+                          features=np.zeros((2, 2, 1)), targets=np.zeros((2, 2)), feature_names=["f"])
+
+
+def _save_panel(out, bad):
+    path = out / "panel.csv"
+    data.save_panel(path, _panel(bad))
+    return path
+
+
+def _save_returns(out, bad):
+    path = out / "returns.csv"
+    data.save_returns(path, _panel(bad))
+    return path
+
+
+def _hash_inputs(out, bad):
+    source = out.parent / ("in\udcff.csv" if bad else "in.csv")  # a non-UTF-8 file name
+    source.write_bytes(b"x")
+    cli._hash_inputs(out, [source])
+    return out / "inputs.sha256"
+
+
+def _sweep_summary(out, bad):
+    rows = {1: {"seed": 1, "pretrain_val_loss": 0.5, "val_ic": 0.1},
+            2: {"seed": 2, "pretrain_val_loss": 0.4, "val_ic": "\ud800" if bad else 0.2}}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_sweep_point", lambda payload: rows[payload[1]["seed"]])
+        cli.cmd_sweep(argparse.Namespace(grid=["seed=1,2"], out=str(out), jobs=1), config.defaults())
+    return out / "summary.csv"
+
+
+@pytest.mark.parametrize("write", [_write_predictions, _save_graph, _write_loss_log, _write_metrics_csv,
+                                   _write_ic_csv, _write_pnl_svg, _config_dump, _save_panel,
+                                   _save_returns, _hash_inputs, _sweep_summary])
 def test_failed_artifact_write_keeps_previous_file(tmp_path, write):
-    path = tmp_path / "artifact.csv"
-    write(path, bad=False)
+    out = tmp_path / "out"
+    out.mkdir()
+    path = write(out, bad=False)
     before = path.read_bytes()
-    with pytest.raises(ValueError):  # raised after part of the new file is written
-        write(path, bad=True)
+    with pytest.raises(ValueError):  # raised once the new file is open, for most after part of it is written
+        write(out, bad=True)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+    assert [p.name for p in out.iterdir()] == [path.name]  # no temporary file left

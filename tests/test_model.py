@@ -5,12 +5,13 @@ equivariance contracts."""
 import numpy as np
 import pytest
 
-from tcgpn import data, model
+from tcgpn import checks, data, model, train
+from tcgpn import tensorcore as tc
 from tcgpn.model import (ModelConfig, adjacency_decoder,
                          encoder_forward, finetune_head, fuse_and_position,
                          gat_forward, gaussian_mask, init_params,
                          positional_table, temporal_decoder, tgm_block)
-from tcgpn.tensorcore import Tensor, no_grad
+from tcgpn.tensorcore import Tensor, memory, no_grad
 
 
 def tiny_cfg(**over):
@@ -411,6 +412,77 @@ def test_head_permutation_equivariant():
         p = np.random.default_rng(6).permutation(6)
         out = finetune_head(Tensor(o_l[p]), params, cfg).data
     assert np.allclose(out, base[p], atol=1e-6)
+
+
+# fused primitives ------------------------------------------------------------------
+
+ACCEPT_MODEL = dict(n_features=4, d_model=24, gat_heads=2, gat_dim=8, tgm_blocks=1,
+                    tgm_heads=4, window=30, d_a=8, ffn_hidden=48, head_hidden=48)
+
+
+def _compose_affine_primitives(monkeypatch):
+    """Route every `tc.linear` and affine `tc.normalize` call back through the
+    compositions they fused: a matmul then `+ b`, and normalize then
+    `* gamma + beta`."""
+    linear, normalize = tc.linear, tc.normalize
+
+    def composed_linear(x, w, b=None):
+        out = linear(x, w)
+        return out if b is None else out + b
+
+    def composed_normalize(a, eps, gamma=None, beta=None):
+        out = normalize(a, eps)
+        return out if gamma is None else out * gamma + beta
+
+    monkeypatch.setattr(tc, "linear", composed_linear)
+    monkeypatch.setattr(tc, "normalize", composed_normalize)
+
+
+def _run_all_stages(cfg, dtype):
+    sample, window, graph = checks.make_check_sample(cfg, 20, seed=5)
+    params = init_params(cfg, seed=3, dtype=dtype)
+    with no_grad():
+        o_l = encoder_forward(window.panel, graph.weights != 0, params, cfg)
+        outputs = [o_l.data, temporal_decoder(o_l, params, cfg).data,
+                   adjacency_decoder(o_l, params).data, finetune_head(o_l, params, cfg).data]
+    train_cfg = train.TrainConfig(epochs=1, r_t=0.3, r_g=0.3)
+    combined, _, _ = train.pretrain_sample_losses(sample, params, cfg, train_cfg)
+    combined.backward()
+    return outputs, {p: t.grad for p, t in params.items() if t.grad is not None}
+
+
+def test_fused_linear_and_layer_norm_match_their_compositions(monkeypatch):
+    cfg = ModelConfig(**ACCEPT_MODEL)
+    for dtype in (np.float32, np.float64):
+        fused_out, fused_grads = _run_all_stages(cfg, dtype)
+        with monkeypatch.context() as m:
+            _compose_affine_primitives(m)
+            composed_out, composed_grads = _run_all_stages(cfg, dtype)
+        for fused, composed in zip(fused_out, composed_out):
+            assert fused.dtype == dtype and np.array_equal(fused, composed)
+        if dtype == np.float64:
+            assert fused_grads.keys() == composed_grads.keys()
+            for path, grad in fused_grads.items():
+                assert np.abs(grad - composed_grads[path]).max() < 1e-12, path
+
+
+def _forward_tensor_count(monkeypatch):
+    cfg = ModelConfig(**ACCEPT_MODEL)
+    sample, _, _ = checks.make_check_sample(cfg, 20, seed=5)
+    params = init_params(cfg, seed=3)
+    counted = []
+    note_alloc = memory.note_alloc
+    with monkeypatch.context() as m:
+        m.setattr(memory, "note_alloc", lambda nbytes: (counted.append(nbytes), note_alloc(nbytes)))
+        train.pretrain_sample_losses(sample, params, cfg, train.TrainConfig(epochs=1, r_t=0.3, r_g=0.3))
+    return len(counted)
+
+
+def test_pretrain_forward_tensor_count_is_pinned(monkeypatch):
+    fused = _forward_tensor_count(monkeypatch)
+    # 15 biased linear layers and 4 layer norms: 15 + 2 * 4 fewer nodes than composed
+    _compose_affine_primitives(monkeypatch)
+    assert (fused, _forward_tensor_count(monkeypatch)) == (91, 114)
 
 
 # config and parameters --------------------------------------------------------------

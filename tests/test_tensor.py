@@ -60,6 +60,8 @@ def test_shape_mismatch_names_op():
 
 @pytest.mark.parametrize("op,build", [
     ("normalize", lambda t: tc.sum(tc.normalize(t, 1e-5) * np.array([1.0, -2.0, 0.5]))),
+    ("affine_normalize", lambda t: tc.sum(  # gamma and beta depend on t too, so all three vjps are probed
+        tc.normalize(t, 1e-5, tc.mean(t, axis=0), tc.sum(t * t, axis=0)) * np.array([1.0, -2.0, 0.5]))),
     ("relu", lambda t: tc.sum(tc.relu(t) * tc.relu(t))),
     ("leaky", lambda t: tc.sum(tc.leaky_relu(t, 0.2) * t)),
     ("softmax", lambda t: tc.sum(tc.decay_softmax(t, np.ones(t.shape)) * t)),
@@ -122,6 +124,77 @@ def test_matmul_weight_grad_allocates_no_per_row_stack():
     assert w.grad.shape == (64, 64)
     assert np.allclose(w.grad, a.data.reshape(-1, 64).sum(axis=0)[:, None])
     assert peak < stack_bytes / 4, peak
+
+
+def _composed_linear(x: Tensor, w, b=None) -> Tensor:
+    """Reference: x @ w + b through the plain 2-D matmul and separate nodes."""
+    d, k = w.shape
+    out = tc.reshape(tc.matmul(tc.reshape(x, (-1, d)), w), x.shape[:-1] + (k,))
+    return out if b is None else out + b
+
+
+def _linear_inputs(rng):
+    """2-D and 3-D x, and the non-contiguous time-major view of an (N, T, d)
+    array that the graph attention stage multiplies."""
+    return (rng.normal(size=(5, 4)), rng.normal(size=(3, 5, 4)),
+            rng.normal(size=(5, 3, 4)).transpose(1, 0, 2))
+
+
+def test_linear_equals_matmul_plus_bias():
+    rng = np.random.default_rng(9)
+    w, b = rng.normal(size=(4, 6)), rng.normal(size=6)
+    for x in _linear_inputs(rng):
+        for dtype in (np.float32, np.float64):
+            args = [Tensor(v.astype(dtype)) for v in (x, w, b)]
+            for bias in (args[2], None):
+                fused = tc.linear(args[0], args[1], bias).data
+                assert fused.dtype == dtype and fused.shape == x.shape[:-1] + (6,)
+                assert np.array_equal(fused, _composed_linear(args[0], args[1], bias).data)
+        if x.ndim == 2:
+            assert np.array_equal(tc.linear(Tensor(x), Tensor(w), Tensor(b)).data,
+                                  (tc.matmul(Tensor(x), Tensor(w)) + Tensor(b)).data)
+
+
+def test_linear_grads_match_finite_differences():
+    rng = np.random.default_rng(10)
+    w, b = rng.normal(size=(4, 6)), rng.normal(size=6)
+    for x in _linear_inputs(rng):
+        upstream = rng.normal(size=x.shape[:-1] + (6,))
+        arrays = [x.copy(), w, b]
+
+        def loss(values):
+            return float(tc.sum(tc.linear(*[Tensor(v) for v in values]) * upstream).data)
+
+        tensors = [Tensor(v, requires_grad=True) for v in arrays]
+        tc.sum(tc.linear(*tensors) * upstream).backward()
+        for i, t in enumerate(tensors):
+            def scalar_fn(arr, i=i):
+                return loss(arrays[:i] + [arr] + arrays[i + 1:])
+            num = numeric_grad(scalar_fn, arrays[i].copy())
+            assert t.grad.shape == arrays[i].shape
+            assert np.allclose(t.grad, num, rtol=1e-7, atol=1e-7), (x.shape, i)
+
+
+def test_linear_rejects_mismatched_inner_dimension():
+    with pytest.raises(ShapeError, match="linear"):
+        tc.linear(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((5, 6))))
+    with pytest.raises(ShapeError, match="linear"):
+        tc.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 6))), Tensor(np.ones(5)))
+
+
+def test_linear_allocates_one_tensor(monkeypatch):
+    from tcgpn.tensorcore import memory
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(5, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    b = Tensor(rng.normal(size=6), requires_grad=True)
+    sizes = []
+    note_alloc = memory.note_alloc
+    monkeypatch.setattr(memory, "note_alloc", lambda nbytes: (sizes.append(nbytes), note_alloc(nbytes)))
+    for bias in (b, None):
+        sizes.clear()
+        tc.linear(x, w, bias)
+        assert sizes == [5 * 3 * 6 * 8]
 
 
 def test_concat_grads():
@@ -257,7 +330,7 @@ def test_edge_softmax_rejects_row_without_kept_entry():
         tc.edge_softmax(Tensor(np.zeros((2, 3, 1))), np.eye(3, dtype=bool), 0.2)
 
 
-def _nine_node_layer_norm(x: Tensor, gamma, beta, eps: float) -> Tensor:
+def _nine_node_layer_norm(x: Tensor, eps: float, gamma, beta) -> Tensor:
     """Reference: layer norm composed from single-purpose nodes (mean, sub,
     mul, mean, add, sqrt, div, mul, add)."""
     mu = tc.mean(x, axis=-1, keepdims=True)
@@ -269,10 +342,6 @@ def _nine_node_layer_norm(x: Tensor, gamma, beta, eps: float) -> Tensor:
     return (centered / std) * gamma + beta
 
 
-def _fused_layer_norm(x: Tensor, gamma, beta, eps: float) -> Tensor:
-    return tc.normalize(x, eps) * gamma + beta
-
-
 def test_normalize_equals_nine_node_composition():
     rng = np.random.default_rng(23)
     for shape in ((3, 5, 16), (4, 7)):
@@ -281,21 +350,38 @@ def test_normalize_equals_nine_node_composition():
             raw = (rng.normal(size=shape) * 3 + 1).astype(dtype)
             gamma = Tensor(rng.normal(size=d).astype(dtype))
             beta = Tensor(rng.normal(size=d).astype(dtype))
-            fused = _fused_layer_norm(Tensor(raw), gamma, beta, 1e-5).data
+            fused = tc.normalize(Tensor(raw), 1e-5, gamma, beta).data
             assert fused.dtype == dtype
-            assert np.array_equal(fused, _nine_node_layer_norm(Tensor(raw), gamma, beta, 1e-5).data)
+            assert np.array_equal(fused, _nine_node_layer_norm(Tensor(raw), 1e-5, gamma, beta).data)
 
         raw = rng.normal(size=shape) * 3 + 1
         upstream = rng.normal(size=shape)
         grads = []
-        for layer_norm in (_fused_layer_norm, _nine_node_layer_norm):
+        for layer_norm in (tc.normalize, _nine_node_layer_norm):
             x = Tensor(raw.copy(), requires_grad=True)
             gamma = Tensor(np.linspace(0.5, 1.5, d), requires_grad=True)
             beta = Tensor(np.zeros(d), requires_grad=True)
-            tc.sum(layer_norm(x, gamma, beta, 1e-5) * upstream).backward()
+            tc.sum(layer_norm(x, 1e-5, gamma, beta) * upstream).backward()
             grads.append((x.grad, gamma.grad, beta.grad))
         for fused_grad, composed_grad in zip(*grads):
             assert np.abs(fused_grad - composed_grad).max() < 1e-12
+
+
+def test_affine_normalize_keeps_only_its_output():
+    import tracemalloc
+    rng = np.random.default_rng(25)
+    x = Tensor(rng.normal(size=(64, 30, 32)), requires_grad=True)
+    gamma = Tensor(rng.normal(size=32), requires_grad=True)
+    beta = Tensor(rng.normal(size=32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = tc.normalize(x, 1e-5, gamma, beta)
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live < 1.25 * out.data.nbytes, live
+    tc.sum(out).backward()
+    assert x.grad.shape == x.shape and gamma.grad.shape == beta.grad.shape == (32,)
 
 
 def test_grad_accumulates_across_reuse():
