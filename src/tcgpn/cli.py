@@ -145,8 +145,11 @@ def _make_run_dir(base: str | Path, seed: int) -> Path:
 
 
 def _hash_inputs(run_dir: Path, paths: list[str | Path]) -> None:
-    with atomic_write(run_dir / "inputs.sha256", encoding="utf-8") as fh:
-        fh.writelines(f"{hashlib.sha256(Path(p).read_bytes()).hexdigest()}  {p}\n" for p in paths)
+    """Write `inputs.sha256` as `sha256sum` does: names as their file-system
+    bytes, so a name that is not valid UTF-8 is recorded as it is."""
+    with atomic_write(run_dir / "inputs.sha256", "wb") as fh:
+        fh.writelines(b"%s  %s\n" % (hashlib.sha256(Path(p).read_bytes()).hexdigest().encode(),
+                                      os.fsencode(p)) for p in paths)
 
 
 def _split(panel: data.TimePanel, values):

@@ -5,7 +5,8 @@ across nodes added back onto each node's own signal (a residual, so nodes
 with the same neighbour set stay distinct), then a stack of causal
 transformer blocks whose attention is damped by a Gaussian decay over time
 distance. Decoders reconstruct the masked series and the adjacency; the
-fine-tune head reads out one score per node.
+fine-tune head reads out one score per node. The temporal decoder runs its
+query side on the masked steps only, the rows the reconstruction loss reads.
 
 Causality is enforced with hard zeros: `tc.decay_softmax` excludes future
 positions from the attention row max and gives them exp(-inf) = 0 weight,
@@ -205,27 +206,35 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
 
 
 def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,
-              decay: np.ndarray, attention_out: list[np.ndarray] | None = None) -> Tensor:
+              decay: np.ndarray, attention_out: list[np.ndarray] | None = None,
+              queries: Tensor | None = None) -> Tensor:
     """One causal transformer block: per-node multi-head attention over time
     reweighted by the Gaussian decay, then residual + layer norm, a
-    position-wise feed-forward, and a second residual + layer norm."""
-    n, t = x.shape[0], x.shape[1]
+    position-wise feed-forward, and a second residual + layer norm.
+
+    Keys and values come from every row of x (N, T, d). The query side (the
+    query projection, attention rows, output projection, both residuals and
+    layer norms, and the feed-forward) runs on `queries` (N, S, d), which
+    defaults to x; `decay` then has S rows, (S, T) or per node (N, 1, S, T).
+    """
+    q_in = x if queries is None else queries
+    n, s = q_in.shape[:2]
     d, n_heads = cfg.d_model, cfg.tgm_heads
     dk = d // n_heads
 
     def split_heads(y: Tensor) -> Tensor:
-        return tc.transpose(tc.reshape(y, (n, t, n_heads, dk)), (0, 2, 1, 3))
+        return tc.transpose(tc.reshape(y, (n, y.shape[1], n_heads, dk)), (0, 2, 1, 3))
 
-    q = split_heads(tc.linear(x, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]))
+    q = split_heads(tc.linear(q_in, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]))
     k = split_heads(tc.linear(x, params[f"{prefix}.attn.wk"]))
     v = split_heads(tc.linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]))
     scores = tc.matmul(q, tc.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
-    weights = tc.decay_softmax(scores, decay)  # (N, H, T, T)
+    weights = tc.decay_softmax(scores, decay)  # (N, H, S, T)
     if attention_out is not None:
         attention_out.append(weights.data.copy())
-    mixed = tc.reshape(tc.transpose(tc.matmul(weights, v), (0, 2, 1, 3)), (n, t, d))
+    mixed = tc.reshape(tc.transpose(tc.matmul(weights, v), (0, 2, 1, 3)), (n, s, d))
     mixed = tc.linear(mixed, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
-    x1 = tc.normalize(x + mixed, 1e-5, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
+    x1 = tc.normalize(q_in + mixed, 1e-5, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
     inner = tc.relu(tc.linear(x1, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
     ffn = tc.linear(inner, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
     return tc.normalize(x1 + ffn, 1e-5, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
@@ -255,11 +264,30 @@ def encoder_forward(values, connectivity: np.ndarray, params: ParamStore, cfg: M
     return x
 
 
-def temporal_decoder(o_l: Tensor, params: ParamStore, cfg: ModelConfig) -> Tensor:
-    """Causal single-block decoder mapping encodings back to feature space."""
-    decay = gaussian_mask(cfg.window, cfg.sigma_h)
-    x = tgm_block(o_l, params, "dec.block0", cfg, decay)
-    return tc.linear(x, params["dec.out.weight"], params["dec.out.bias"])
+def temporal_decoder(o_l: Tensor, params: ParamStore, cfg: ModelConfig,
+                     mask: np.ndarray | None = None) -> Tensor:
+    """Causal single-block decoder mapping encodings back to feature space,
+    evaluated only at the (N, T) steps where `mask` is true (every step when
+    mask is None). Returns (N, T, F) with exact zeros at the other steps.
+
+    Every node must have the same count S of true steps. Their encodings are
+    gathered into (N, S, d) queries, the block attends from them over all T
+    encodings, and one constant one-hot (N, T, S) product scatters the
+    decoded rows back into place.
+    """
+    n, t, d = o_l.shape
+    mask = np.ones((n, t), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != (n, t) or np.ptp(mask.sum(axis=1)) != 0:
+        raise ValueError(f"temporal_decoder: mask must be ({n}, {t}) with the same step count on every node")
+    steps = np.nonzero(mask)[1].reshape(n, -1)  # each node's S true steps, ascending
+    s = steps.shape[1]
+    rows = tc.reshape(tc.masked_select(o_l, mask[:, :, None]), (n, s, d))
+    decay = gaussian_mask(cfg.window, cfg.sigma_h)[steps][:, None]  # (N, 1, S, T)
+    x = tgm_block(o_l, params, "dec.block0", cfg, decay, queries=rows)
+    out = tc.linear(x, params["dec.out.weight"], params["dec.out.bias"])  # (N, S, F)
+    scatter = np.zeros((n, t, s), dtype=out.data.dtype)
+    scatter[np.arange(n)[:, None], steps, np.arange(s)] = 1.0
+    return tc.matmul(scatter, out)
 
 
 def adjacency_decoder(o_l: Tensor, params: ParamStore) -> Tensor:

@@ -144,7 +144,7 @@ def pretrain_sample_losses(sample: augment.MaskedSample, params: ParamStore,
     l_t = None
     l_g = None
     if cfg.use_temporal_loss and sample.panel.mask_positions.any():
-        x_r = model.temporal_decoder(out, params, model_cfg)
+        x_r = model.temporal_decoder(out, params, model_cfg, sample.panel.mask_positions)
         l_t = losses.loss_temporal(sample.original_values, x_r, sample.panel.mask_positions)
     if cfg.use_graph_loss:
         a_hat = model.adjacency_decoder(out, params)
@@ -313,7 +313,7 @@ def masked_reconstruction_mse(params: ParamStore, model_cfg: model.ModelConfig,
                 continue
             out = model.encoder_forward(sample.panel.values, sample.graph.connectivity(),
                                         params, model_cfg)
-            x_r = model.temporal_decoder(out, params, model_cfg).data
+            x_r = model.temporal_decoder(out, params, model_cfg, mask).data
             x = sample.original_values
             model_errs.append(float(np.mean((x_r[mask] - x[mask]) ** 2)))
             imputed = np.array([x[n][~mask[n]].mean(axis=0) for n in range(x.shape[0])])

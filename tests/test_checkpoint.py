@@ -2,8 +2,11 @@
 embedding."""
 
 import argparse
+import hashlib
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,9 +240,10 @@ def _save_returns(out, bad):
 
 
 def _hash_inputs(out, bad):
-    source = out.parent / ("in\udcff.csv" if bad else "in.csv")  # a non-UTF-8 file name
+    source = out.parent / "in.csv"
     source.write_bytes(b"x")
-    cli._hash_inputs(out, [source])
+    # a second name that cannot be opened (embedded NUL), after the first line
+    cli._hash_inputs(out, [source, out.parent / "in\x00.csv"] if bad else [source])
     return out / "inputs.sha256"
 
 
@@ -250,6 +254,18 @@ def _sweep_summary(out, bad):
         mp.setattr(cli, "_sweep_point", lambda payload: rows[payload[1]["seed"]])
         cli.cmd_sweep(argparse.Namespace(grid=["seed=1,2"], out=str(out), jobs=1), config.defaults())
     return out / "summary.csv"
+
+
+def test_hash_inputs_records_non_utf8_name(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    source = tmp_path / "in\udcff.csv"  # the bytes b"in\xff.csv", not valid UTF-8
+    source.write_bytes(b"x")
+    cli._hash_inputs(out, [source])
+    digest, name = (out / "inputs.sha256").read_bytes().removesuffix(b"\n").split(b"  ")
+    assert digest == hashlib.sha256(b"x").hexdigest().encode()
+    assert name == os.fsencode(source) and name.endswith(b"/in\xff.csv")
+    assert Path(os.fsdecode(name)).read_bytes() == b"x"
 
 
 @pytest.mark.parametrize("write", [_write_predictions, _save_graph, _write_loss_log, _write_metrics_csv,

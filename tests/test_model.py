@@ -480,9 +480,111 @@ def _forward_tensor_count(monkeypatch):
 
 def test_pretrain_forward_tensor_count_is_pinned(monkeypatch):
     fused = _forward_tensor_count(monkeypatch)
-    # 15 biased linear layers and 4 layer norms: 15 + 2 * 4 fewer nodes than composed
+    # 15 biased linear layers and 4 layer norms: 15 + 2 * 4 fewer nodes than composed.
+    # The temporal decoder's masked-step gather and scatter add 4 nodes to each: the
+    # masked_select, its reshape to (N, S, d), the one-hot constant and its matmul.
     _compose_affine_primitives(monkeypatch)
-    assert (fused, _forward_tensor_count(monkeypatch)) == (91, 114)
+    assert (fused, _forward_tensor_count(monkeypatch)) == (95, 118)
+
+
+# decoding only the masked steps -----------------------------------------------------
+
+
+def _step_masks(n, t, rng):
+    """Equal-count (N, T) step masks: a contiguous 9-step span per node as
+    `augment.mask_temporal` hides, 9 scattered steps, one step, every step."""
+    starts = rng.integers(0, t - 8, size=n)[:, None]
+    steps = np.arange(t)[None, :]
+    scattered = np.zeros((n, t), dtype=bool)
+    for i in range(n):
+        scattered[i, rng.choice(t, size=9, replace=False)] = True
+    single = np.zeros((n, t), dtype=bool)
+    single[np.arange(n), rng.integers(0, t, size=n)] = True
+    return {"span": (steps >= starts) & (steps < starts + 9), "scattered": scattered,
+            "single": single, "all": np.ones((n, t), dtype=bool)}
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_masked_temporal_decoder_matches_full_decoder_rows(dtype, tol):
+    cfg = ModelConfig(**ACCEPT_MODEL)
+    params = init_params(cfg, seed=3, dtype=dtype)
+    x, conn = random_inputs(cfg, n=20, seed=4)
+    with no_grad():
+        o_l = encoder_forward(x, conn, params, cfg)
+        full = temporal_decoder(o_l, params, cfg).data
+        for name, mask in _step_masks(20, cfg.window, np.random.default_rng(6)).items():
+            rec = temporal_decoder(o_l, params, cfg, mask).data
+            assert rec.dtype == dtype and rec.shape == full.shape, name
+            assert np.all(rec[~mask] == 0.0), name
+            assert np.abs(rec[mask] - full[mask]).max() <= tol * np.abs(full[mask]).max(), name
+
+
+def test_masked_temporal_decoder_gradients_match_full_decoder(monkeypatch):
+    cfg = ModelConfig(**ACCEPT_MODEL)
+    sample, _, _ = checks.make_check_sample(cfg, 20, seed=5)
+    assert np.all(sample.panel.mask_positions.sum(axis=1) == 9)  # 9 of 30 steps hidden
+    train_cfg = train.TrainConfig(epochs=1, r_t=0.3, r_g=0.3)
+
+    def grads():
+        params = init_params(cfg, seed=3, dtype=np.float64)
+        combined, l_t, _ = train.pretrain_sample_losses(sample, params, cfg, train_cfg)
+        combined.backward()
+        return float(l_t.data), {p: t.grad for p, t in params.items() if t.grad is not None}
+
+    l_t, masked = grads()
+    decoder = model.temporal_decoder
+    monkeypatch.setattr(model, "temporal_decoder",
+                        lambda o_l, params, cfg, mask=None: decoder(o_l, params, cfg))
+    full_l_t, full = grads()
+    assert abs(l_t - full_l_t) < 1e-12
+    assert masked.keys() == full.keys()
+    for path, grad in masked.items():
+        assert np.abs(grad - full[path]).max() < 1e-12, path
+
+
+def test_temporal_decoder_rejects_unequal_step_counts():
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=13)
+    x, conn = random_inputs(cfg, n=4)
+    mask = np.zeros((4, cfg.window), dtype=bool)
+    mask[:, 2] = True
+    with no_grad():
+        o_l = encoder_forward(x, conn, params, cfg)
+        temporal_decoder(o_l, params, cfg, mask)
+        mask[1, 3] = True
+        with pytest.raises(ValueError, match="step count"):
+            temporal_decoder(o_l, params, cfg, mask)
+        with pytest.raises(ValueError, match="step count"):
+            temporal_decoder(o_l, params, cfg, mask[:3])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tgm_block_queries_default_to_x(dtype):
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=19, dtype=dtype)
+    x = Tensor(np.random.default_rng(7).normal(size=(4, cfg.window, cfg.d_model)).astype(dtype))
+    decay = gaussian_mask(cfg.window, cfg.sigma_h)
+    with no_grad():
+        plain = tgm_block(x, params, "enc.block0", cfg, decay).data
+        queried = tgm_block(x, params, "enc.block0", cfg, decay, queries=x).data
+    assert np.array_equal(plain, queried)
+
+
+def test_temporal_decoder_runs_query_side_on_masked_steps_only(monkeypatch):
+    cfg = ModelConfig(**ACCEPT_MODEL)
+    sample, _, _ = checks.make_check_sample(cfg, 20, seed=5)
+    mask = sample.panel.mask_positions
+    n, t = mask.shape
+    params = init_params(cfg, seed=3)
+    with no_grad():
+        o_l = encoder_forward(sample.panel.values, sample.graph.connectivity(), params, cfg)
+    sizes = []
+    note_alloc = memory.note_alloc
+    monkeypatch.setattr(memory, "note_alloc", lambda nbytes: (sizes.append(nbytes), note_alloc(nbytes)))
+    temporal_decoder(o_l, params, cfg, mask)
+    full_ffn = n * t * cfg.ffn_hidden * o_l.data.itemsize  # the feed-forward over every step
+    # nothing that size or larger: neither that hidden layer nor the (N, H, T, T) attention
+    assert max(sizes) < full_ffn
 
 
 # config and parameters --------------------------------------------------------------
