@@ -131,16 +131,19 @@ def main() -> None:
 # helpers ------------------------------------------------------------------------
 
 
-def _make_run_dir(base: str | Path, seed: int) -> Path:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
+def _start_run(base: str | Path, values, inputs: list[str | Path]) -> Path:
+    """Make a new `<stamp>-seed<seed>` run directory under base and record the
+    resolved config and the input hashes in it."""
     root = Path(base)
-    name = f"{stamp}-seed{seed}"
+    name = f"{time.strftime('%Y%m%d-%H%M%S')}-seed{values['seed']}"
     path = root / name
     i = 1
     while path.exists():
         path = root / f"{name}.{i}"
         i += 1
     path.mkdir(parents=True)
+    config.dump(values, path / "config.txt")
+    _hash_inputs(path, inputs)
     return path
 
 
@@ -173,13 +176,21 @@ def _split_windows(panel: data.TimePanel, values):
 
 
 def _prepare(args, values):
-    """Load panel + graph, then split, standardize and window per the config."""
+    """Load panel + graph, then split, standardize and window per the config.
+    With a --checkpoint, load its parameters too (None otherwise); its saved
+    model config must equal the config's."""
     panel, report = data.load_panel(args.data)
     if report.dropped_dates:
         print(f"load: dropped {len(report.dropped_dates)} dates missing for some node")
     graph = graphs.load_graph(args.graph, panel.node_ids)
     windows, model_cfg = _split_windows(panel, values)
-    return windows, graph, model_cfg
+    params = None
+    if getattr(args, "checkpoint", None) is not None:
+        try:
+            params, model_cfg = train.load_pretrained(args.checkpoint, model_cfg)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+    return windows, graph, model_cfg, params
 
 
 # subcommands ---------------------------------------------------------------------
@@ -220,11 +231,9 @@ def cmd_build_graph(args, values) -> int:
 
 
 def cmd_pretrain(args, values) -> int:
-    windows, graph, model_cfg = _prepare(args, values)
+    windows, graph, model_cfg, _ = _prepare(args, values)
     train_cfg = config.to_train_config(values, "pretrain")
-    run_dir = _make_run_dir(args.out, values["seed"])
-    config.dump(values, run_dir / "config.txt")
-    _hash_inputs(run_dir, [args.data, args.graph])
+    run_dir = _start_run(args.out, values, [args.data, args.graph])
     result = train.pretrain(windows[0], windows[1], graph, model_cfg, train_cfg,
                             run_dir=run_dir, verbose=True)
     print(f"pretrain done: best validation loss {result.best_val:.6f}; "
@@ -233,15 +242,9 @@ def cmd_pretrain(args, values) -> int:
 
 
 def cmd_finetune(args, values) -> int:
-    windows, graph, model_cfg = _prepare(args, values)
-    train_cfg = config.to_train_config(values, "finetune")
-    try:
-        params, model_cfg = train.load_pretrained(args.checkpoint, model_cfg)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    run_dir = _make_run_dir(args.out, values["seed"])
-    config.dump(values, run_dir / "config.txt")
-    _hash_inputs(run_dir, [args.checkpoint, args.data, args.graph])
+    train_cfg = config.to_train_config(values, "finetune")  # a bad value exits 3 before the checkpoint is read
+    windows, graph, model_cfg, params = _prepare(args, values)
+    run_dir = _start_run(args.out, values, [args.checkpoint, args.data, args.graph])
     result = train.finetune(params, windows[0], windows[1], graph, model_cfg, train_cfg,
                             run_dir=run_dir, verbose=True)
     print(f"finetune done: best validation IC {result.best_val:.4f}; "
@@ -250,11 +253,7 @@ def cmd_finetune(args, values) -> int:
 
 
 def cmd_predict(args, values) -> int:
-    windows, graph, model_cfg = _prepare(args, values)
-    try:
-        params, model_cfg = train.load_pretrained(args.checkpoint, model_cfg)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    windows, graph, model_cfg, params = _prepare(args, values)
     if args.split == "all":
         chosen = [w for ws in windows for w in ws]
     else:

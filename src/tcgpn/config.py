@@ -8,7 +8,7 @@ directory so a run can be reproduced from its directory alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -154,59 +154,32 @@ def dump(values: dict[str, Any], path: str | Path) -> None:
         fh.writelines(f"{k} = {values[k]}\n" for k in sorted(values))
 
 
-def _construct(cls, **fields):
-    """cls(**fields), reporting the dataclass's own validation as a ConfigError."""
+def _construct(cls, values: dict[str, Any], **fixed):
+    """cls from `fixed` plus the config values named like its other fields,
+    reporting the dataclass's own validation as a ConfigError."""
+    named = {f.name: values[f.name] for f in fields(cls)
+             if f.name in values and f.name not in fixed}
     try:
-        return cls(**fields)
+        return cls(**named, **fixed)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
 def to_synthetic_spec(values: dict[str, Any]) -> SyntheticSpec:
     return _construct(
-        SyntheticSpec,
+        SyntheticSpec, values,
         n_clusters=values["synth_clusters"],
         nodes_per_cluster=values["synth_nodes_per_cluster"],
         lag=values["synth_lag"],
         noise_std=values["synth_noise_std"],
         length=values["synth_length"],
-        seed=values["seed"],
     )
 
 
 def to_model_config(values: dict[str, Any], n_features: int) -> ModelConfig:
-    return _construct(
-        ModelConfig,
-        n_features=n_features,
-        d_model=values["d_model"],
-        gat_heads=values["gat_heads"],
-        gat_dim=values["gat_dim"],
-        tgm_blocks=values["tgm_blocks"],
-        tgm_heads=values["tgm_heads"],
-        sigma_h=values["sigma_h"],
-        window=values["window"],
-        leaky_slope=values["leaky_slope"],
-        d_a=values["d_a"],
-        ffn_hidden=values["ffn_hidden"],
-        head_hidden=values["head_hidden"],
-        decoder_blocks=values["decoder_blocks"],
-        use_gat=values["use_gat"],
-    )
+    return _construct(ModelConfig, values, n_features=n_features)
 
 
 def to_train_config(values: dict[str, Any], phase: str = "pretrain") -> TrainConfig:
-    return _construct(
-        TrainConfig,
-        epochs=values["epochs"] if phase == "pretrain" else values["finetune_epochs"],
-        batch_size=values["batch_size"],
-        n_sub=values["n_sub"],
-        r_t=values["r_t"],
-        r_g=values["r_g"],
-        beta=values["beta"],
-        lambda_m=values["lambda_m"],
-        learning_rate=values["lr"],
-        seed=values["seed"],
-        early_stop_patience=values["early_stop_patience"],
-        use_temporal_loss=values["use_temporal_loss"],
-        use_graph_loss=values["use_graph_loss"],
-    )
+    epochs = values["epochs"] if phase == "pretrain" else values["finetune_epochs"]
+    return _construct(TrainConfig, values, epochs=epochs, learning_rate=values["lr"])

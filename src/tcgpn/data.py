@@ -124,7 +124,6 @@ def check_date(path, lineno: int, d: str) -> None:
 @dataclass
 class LoadReport:
     dropped_dates: list[str] = field(default_factory=list)
-    dropped_rows: int = 0
 
 
 def load_panel(path: str | Path) -> tuple[TimePanel, LoadReport]:
@@ -170,8 +169,7 @@ def load_panel(path: str | Path) -> tuple[TimePanel, LoadReport]:
     if not dates:
         raise ValueError(f"{path}: no date is covered by every node")
     kept = set(dates)
-    report = LoadReport(dropped_dates=[d for d in all_dates if d not in kept],
-                        dropped_rows=sum(map(len, rows.values())) - len(node_ids) * len(dates))
+    report = LoadReport(dropped_dates=[d for d in all_dates if d not in kept])
     table = np.array([[rows[s][d] for d in dates] for s in node_ids])  # (N, D, F+1)
     panel = TimePanel(node_ids=node_ids, dates=dates, features=table[:, :, :-1],
                       targets=table[:, :, -1], feature_names=header[2:-1])

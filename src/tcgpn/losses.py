@@ -111,7 +111,7 @@ def loss_pearson(y_hat: Tensor, y) -> Tensor:
     if float(np.var(y_hat.data)) == 0.0 or float(np.var(y_arr)) == 0.0:
         raise ZeroVarianceError("pearson loss undefined for constant vectors")
     z_y = (y_arr - y_arr.mean()) / y_arr.std()
-    return -tc.mean(tc.normalize(y_hat, 0.0) * z_y)
+    return tc.mean(tc.normalize(y_hat, 0.0) * -z_y)
 
 
 def loss_finetune(y_hat: Tensor, y, lambda_m: float = 0.3

@@ -20,7 +20,6 @@ from .tensor import (
     matmul,
     mean,
     mul,
-    neg,
     no_grad,
     normalize,
     relu,
@@ -53,7 +52,6 @@ __all__ = [
     "mean",
     "memory",
     "mul",
-    "neg",
     "no_grad",
     "normalize",
     "relu",

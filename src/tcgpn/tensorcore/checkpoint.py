@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -59,6 +60,30 @@ def save_checkpoint(path: str | Path, params: ParamStore, config: dict | None = 
             fh.write(raw)
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _entry(path, i: int, entry, seen) -> tuple[str, tuple[int, ...], np.dtype, int]:
+    """Header entry i as (name, shape, dtype, offset). A malformed entry, or a
+    name already in `seen`, is a one-line ValueError naming file and entry."""
+    if not isinstance(entry, dict) or not {"path", "shape", "dtype", "offset"} <= entry.keys():
+        raise ValueError(f"{path}: checkpoint entry {i} needs path, shape, dtype and offset, got {entry!r}")
+    name, shape, code, offset = entry["path"], entry["shape"], entry["dtype"], entry["offset"]
+    where = f"{path}: checkpoint entry {i} ({name!r})"
+    if not isinstance(name, str):
+        raise ValueError(f"{where}: path is not a string")
+    if name in seen:
+        raise ValueError(f"{where}: path listed twice")
+    if not isinstance(code, str) or code not in _DTYPE_CODES:
+        raise ValueError(f"{where}: unknown dtype code {code!r}")
+    if not isinstance(shape, list) or not all(map(_is_count, shape)):
+        raise ValueError(f"{where}: shape {shape!r} is not a list of non-negative integers")
+    if not _is_count(offset):
+        raise ValueError(f"{where}: offset {offset!r} is not a non-negative integer")
+    return name, tuple(shape), _DTYPE_CODES[code], offset
+
+
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict | None]:
     raw = Path(path).read_bytes()
     if raw[:len(MAGIC)] != MAGIC:
@@ -78,17 +103,12 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, dict | None]:
     payload = memoryview(raw)[start:]
     arrays: dict[str, np.ndarray] = {}
     end = 0
-    for entry in header["entries"]:
-        dtype = _DTYPE_CODES.get(entry["dtype"])
-        if dtype is None:
-            raise ValueError(f"{path}: unknown dtype code {entry['dtype']!r} at {entry['path']}")
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        begin = entry["offset"]
-        stop = begin + n * dtype.itemsize
+    for i, entry in enumerate(header["entries"]):
+        name, shape, dtype, begin = _entry(path, i, entry, arrays)
+        stop = begin + math.prod(shape) * dtype.itemsize
         if stop > len(payload):
-            raise ValueError(f"{path}: checkpoint truncated at {entry['path']}")
-        arrays[entry["path"]] = np.frombuffer(payload[begin:stop], dtype=dtype).reshape(shape)
+            raise ValueError(f"{path}: checkpoint truncated at {name}")
+        arrays[name] = np.frombuffer(payload[begin:stop], dtype=dtype).reshape(shape)
         end = max(end, stop)
     if end != len(payload):
         raise ValueError(f"{path}: {len(payload) - end} trailing bytes after the last entry")

@@ -15,7 +15,6 @@ from .tensor import no_grad
 class PathCheck:
     path: str
     max_rel_err: float
-    worst_index: tuple[int, ...] | None
     flagged: bool
     unprobeable: bool = False
 
@@ -73,7 +72,6 @@ def grad_check(loss_fn, params: ParamStore, eps: float = 1e-5, tol: float = 1e-4
         flat = tensor.data.reshape(-1)
         a_flat = np.asarray(a).reshape(-1)
         worst = 0.0
-        worst_idx: tuple[int, ...] | None = None
         unprobeable = False
         for i in range(flat.size):
             orig = flat[i]
@@ -89,13 +87,10 @@ def grad_check(loss_fn, params: ParamStore, eps: float = 1e-5, tol: float = 1e-4
             numeric = (up - down) / (2.0 * eps)
             denom = max(1e-8, abs(a_flat[i]) + abs(numeric))
             rel = abs(a_flat[i] - numeric) / denom
-            if rel > worst:
-                worst = rel
-                worst_idx = np.unravel_index(i, tensor.data.shape)
+            worst = max(worst, rel)
         report.checks.append(PathCheck(
             path=path,
             max_rel_err=worst,
-            worst_index=worst_idx,
             flagged=(not unprobeable) and worst > tol,
             unprobeable=unprobeable,
         ))

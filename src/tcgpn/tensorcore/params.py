@@ -44,9 +44,6 @@ class ParamStore:
     def __contains__(self, path: str) -> bool:
         return path in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def paths(self) -> list[str]:
         return sorted(self._entries)
 

@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-The primitive set is closed, 18 in all: add, sub, mul, div, neg, matmul,
+The primitive set is closed, 17 in all: add, sub, mul, div, matmul,
 linear (a stacked input times one matrix plus an optional bias, as one GEMM),
 transpose, reshape, concat, normalize (zero mean, unit variance over the last
 axis, with an optional affine gain and shift), relu, leaky_relu,
@@ -78,17 +78,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # operators ------------------------------------------------------------
 
     def __add__(self, other):
@@ -112,9 +101,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -262,11 +248,6 @@ def div(a, b) -> Tensor:
         lambda g: _unbroadcast(g / b.data, a.data.shape),
         lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
     ))
-
-
-def neg(a) -> Tensor:
-    a = _coerce(a)
-    return _result(-a.data, (a,), (lambda g: -g,))
 
 
 def matmul(a, b) -> Tensor:

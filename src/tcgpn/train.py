@@ -44,6 +44,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0 <= self.r_t < 1 and 0 <= self.r_g < 1):
             raise ValueError("mask rates must be in [0, 1)")
+        if self.n_sub < 0 or self.n_sub == 1:
+            raise ValueError(f"n_sub must be 0 (all nodes) or >= 2, got {self.n_sub}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.lambda_m < 0:
@@ -175,12 +177,10 @@ def _pretrain_validation(windows: list[WindowSample], graph: CorrelationGraph,
 
 def pretrain(train_windows: list[WindowSample], val_windows: list[WindowSample],
              graph: CorrelationGraph, model_cfg: model.ModelConfig, cfg: TrainConfig,
-             run_dir: str | Path | None = None, verbose: bool = False,
-             initial_params: ParamStore | None = None) -> TrainResult:
+             run_dir: str | Path | None = None, verbose: bool = False) -> TrainResult:
     if not train_windows:
         raise ValueError("pretraining needs at least one window")
-    params = initial_params.clone() if initial_params is not None \
-        else model.init_params(model_cfg, seed=cfg.seed)
+    params = model.init_params(model_cfg, seed=cfg.seed)
 
     def sample_loss(window: WindowSample, seed: int, step: int):
         sample = _make_sample(window, graph, cfg, seed)
@@ -199,22 +199,23 @@ def pretrain(train_windows: list[WindowSample], val_windows: list[WindowSample],
 
 def load_pretrained(path: str | Path, model_cfg: model.ModelConfig | None = None
                     ) -> tuple[ParamStore, model.ModelConfig]:
-    """Load a checkpoint and validate its manifest against the model config
-    (the saved one by default)."""
+    """Load a checkpoint and the model config saved with it, and validate its
+    manifest against that config. A given model_cfg must equal the saved one
+    in every field; the error names the fields that differ."""
     store, config = load_checkpoint(path)
     if config is None or "model" not in config:
         raise ValueError(f"{path}: checkpoint carries no model config")
     try:
-        saved_cfg = model.ModelConfig.from_dict(config["model"])
+        saved_cfg = model.ModelConfig(**config["model"])
     except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: checkpoint model config: {e}") from None
-    if model_cfg is not None and model.param_shapes(model_cfg) != model.param_shapes(saved_cfg):
-        raise ValueError(f"{path}: checkpoint does not match the requested model config")
-    cfg = model_cfg or saved_cfg
-    expected = model.param_shapes(cfg)
-    if store.shapes() != expected:
+    if model_cfg is not None and model_cfg != saved_cfg:
+        saved = asdict(saved_cfg)
+        differ = [f"{k}={v!r} (saved {saved[k]!r})" for k, v in asdict(model_cfg).items() if v != saved[k]]
+        raise ValueError(f"{path}: model config differs from the checkpoint's: {', '.join(differ)}")
+    if store.shapes() != model.param_shapes(saved_cfg):
         raise ValueError(f"{path}: checkpoint manifest does not match the model config")
-    return store, cfg
+    return store, saved_cfg
 
 
 def finetune(pretrained: ParamStore, train_windows: list[WindowSample],

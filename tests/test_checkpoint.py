@@ -99,6 +99,20 @@ def test_load_pretrained_rejects_key_bias_checkpoint(tmp_path):
         train.load_pretrained(path, cfg)
 
 
+def test_load_pretrained_requires_the_saved_model_config(tmp_path):
+    # sigma_h and leaky_slope change no parameter shape, so a shape check misses them
+    cfg = model.ModelConfig(n_features=3, d_model=8, gat_heads=2, gat_dim=4,
+                            tgm_blocks=1, tgm_heads=2, window=8, d_a=4, sigma_h=1.0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model.init_params(cfg, seed=0), config={"model": cfg.to_dict()})
+    other = model.ModelConfig(**dict(cfg.to_dict(), sigma_h=2.0, leaky_slope=0.5))
+    with pytest.raises(ValueError, match=r"^\S*m\.ckpt: model config differs from the checkpoint's: "
+                                         r"sigma_h=2\.0 \(saved 1\.0\), leaky_slope=0\.5 \(saved 0\.2\)$"):
+        train.load_pretrained(path, other)
+    _, loaded = train.load_pretrained(path, model.ModelConfig(**cfg.to_dict()))
+    assert loaded == cfg
+
+
 def _saved(tmp_path):
     store = ParamStore(seed=0)
     store.add("w", (4,), "fan_in")
@@ -120,6 +134,21 @@ def test_unknown_dtype_code_rejected(tmp_path):
     path.write_bytes(_with_header(raw, lambda h: h["entries"][0].update(dtype="<i8")))
     with pytest.raises(ValueError, match=r"x\.ckpt.*unknown dtype code '<i8'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h["entries"][0].pop("dtype"), r"entry 0 needs path, shape, dtype and offset"),
+    (lambda h: h.update(entries=[["w", [4], "<f4", 0]]), r"entry 0 needs path, shape, dtype and offset"),
+    (lambda h: h["entries"][0].update(offset=-8), r"entry 0 \('w'\): offset -8 is not"),
+    (lambda h: h["entries"][0].update(shape=["2"]), r"entry 0 \('w'\): shape \['2'\] is not"),
+    (lambda h: h["entries"].append(dict(h["entries"][0])), r"entry 1 \('w'\): path listed twice"),
+], ids=["missing-dtype", "list-entry", "negative-offset", "string-shape", "duplicate-path"])
+def test_malformed_entry_rejected_naming_file_and_entry(tmp_path, edit, message):
+    path, raw = _saved(tmp_path)
+    path.write_bytes(_with_header(raw, edit))
+    with pytest.raises(ValueError, match=r"x\.ckpt: checkpoint " + message) as info:
+        load_checkpoint(path)
+    assert "\n" not in str(info.value)
 
 
 def test_non_json_header_rejected(tmp_path):

@@ -102,10 +102,17 @@ def test_checkpoint_config_mismatch_rejected(pipeline, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unknown_key.ckpt: checkpoint model config" in err
         assert "TypeError" not in err
+    # a model key that leaves every shape alone must still match the checkpoint's
+    other_sigma = [a if a != "2.5" else "3.0" for a in TINY]
+    for command in (["finetune", "--out", str(root / "x")], ["predict", "--out", str(root / "p.csv")]):
+        assert dispatch(command + ["--checkpoint", str(run / "pretrained.ckpt")] + inputs + other_sigma) == 3
+        assert "sigma_h=3.0 (saved 2.5)" in capsys.readouterr().err
+    assert not (root / "x").exists() and not (root / "p.csv").exists()
 
 
 @pytest.mark.parametrize("bad", [["--lambda_m", "-0.1"], ["--r_t", "1.0"], ["--batch_size", "0"],
-                                 ["--d_model", "8", "--tgm_heads", "3"]])
+                                 ["--d_model", "8", "--tgm_heads", "3"],
+                                 ["--n_sub", "1"], ["--n_sub", "-5"]])
 def test_bad_training_value_exits_3_without_run_dir(pipeline, tmp_path, capsys, bad):
     root, synth = pipeline
     inputs = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]

@@ -1,9 +1,13 @@
 """Config parsing/round-trip and CLI dispatch, exit codes, artifacts."""
 
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
 from tcgpn import config
+from tcgpn.model import ModelConfig
+from tcgpn.train import TrainConfig
 from tcgpn.cli import dispatch
 from tcgpn.config import ConfigError
 from tcgpn.data import load_panel, split_by_fraction
@@ -57,6 +61,30 @@ def test_converters_build_valid_configs():
     assert tc.epochs == values["epochs"] and tc.r_t == 0.3
     ft = config.to_train_config(values, "finetune")
     assert ft.epochs == values["finetune_epochs"]
+
+
+def test_every_config_field_reaches_the_built_config():
+    # a non-default value for every field: one the converters drop reads its default
+    model_keys = {"d_model": 16, "gat_heads": 2, "gat_dim": 8, "tgm_blocks": 2, "tgm_heads": 4,
+                  "sigma_h": 2.5, "window": 12, "leaky_slope": 0.1, "d_a": 8, "ffn_hidden": 24,
+                  "head_hidden": 40, "use_gat": False}
+    train_keys = {"batch_size": 3, "n_sub": 5, "r_t": 0.2, "r_g": 0.4, "beta": 0.5,
+                  "lambda_m": 0.6, "seed": 11, "early_stop_patience": 4,
+                  "use_temporal_loss": False, "use_graph_loss": False}
+    keys = {**model_keys, **train_keys, "lr": 0.01, "epochs": 7, "finetune_epochs": 9}
+    values = config.resolve(None, [t for k, v in keys.items() for t in (f"--{k}", str(v))])
+    mc = config.to_model_config(values, n_features=5)
+    assert asdict(mc) == dict(model_keys, n_features=5, decoder_blocks=1)
+    for phase, epochs in (("pretrain", 7), ("finetune", 9)):
+        tc = config.to_train_config(values, phase)
+        assert asdict(tc) == dict(train_keys, learning_rate=0.01, epochs=epochs)
+    default_model, default_train = ModelConfig(n_features=5), TrainConfig()
+    assert [f.name for f in fields(ModelConfig) if getattr(mc, f.name) == getattr(default_model, f.name)] \
+        == ["n_features", "decoder_blocks"]
+    assert not [f.name for f in fields(TrainConfig) if getattr(tc, f.name) == getattr(default_train, f.name)]
+    # decoder_blocks has one valid value; another one reaches ModelConfig's check
+    with pytest.raises(ConfigError, match="single block"):
+        config.to_model_config(config.resolve(None, ["--decoder_blocks", "2"]), n_features=5)
 
 
 # CLI ------------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_load_small_panel_shapes(tmp_path):
     assert panel.node_ids == ["a", "b"]
     assert panel.features[0, 1, 0] == 2.0
     assert panel.targets[1, 2] == 0.6
-    assert report.dropped_rows == 0
+    assert report.dropped_dates == []
 
 
 def test_load_intersects_dates_and_reports(tmp_path):
@@ -51,7 +51,6 @@ def test_load_intersects_dates_and_reports(tmp_path):
     panel, report = load_panel(p)
     assert panel.dates == ["2020-01-01", "2020-01-03"]
     assert report.dropped_dates == ["2020-01-02"]
-    assert report.dropped_rows == 1
 
 
 def test_load_forty_five_feature_columns(tmp_path):

@@ -604,8 +604,7 @@ def test_config_defaults_derived():
     assert cfg.sigma_h == 7.5  # window/4
     assert cfg.ffn_hidden == 256 and cfg.head_hidden == 256
     assert cfg.gat_out == 128
-    round_trip = ModelConfig.from_dict(cfg.to_dict())
-    assert round_trip.to_dict() == cfg.to_dict()
+    assert ModelConfig(**cfg.to_dict()) == cfg
 
 
 def test_init_deterministic_and_complete():

@@ -239,19 +239,10 @@ def test_pretrain_peak_memory_does_not_grow_with_batch():
     assert four < 1.2 * one, (four, one)
 
 
-def test_pretrain_aborts_on_non_finite_loss_with_seed():
+def test_pretrain_aborts_on_non_finite_loss_with_seed(monkeypatch):
     _, wtrain, wval, graph, cfg = mini_setup()
     poisoned = model.init_params(cfg, seed=0)
     poisoned["fuse.weight"].data[0, 0] = np.inf
+    monkeypatch.setattr(model, "init_params", lambda *args, **kwargs: poisoned)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="sample seed"):
-        train.pretrain(wtrain, [], graph, cfg, fast_train_cfg(epochs=1),
-                       initial_params=poisoned)
-
-
-def test_pretrain_warm_start_resumes():
-    _, wtrain, wval, graph, cfg = mini_setup()
-    first = train.pretrain(wtrain, wval, graph, cfg, fast_train_cfg(epochs=1))
-    second = train.pretrain(wtrain, wval, graph, cfg, fast_train_cfg(epochs=1),
-                            initial_params=first.params)
-    assert not np.array_equal(second.params["fuse.weight"].data,
-                              first.params["fuse.weight"].data)
+        train.pretrain(wtrain, [], graph, cfg, fast_train_cfg(epochs=1))
