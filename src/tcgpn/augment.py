@@ -28,12 +28,12 @@ class MaskedPanel:
 @dataclass
 class MaskedSample:
     """One pretraining example: masked panel + masked graph + the untouched
-    originals used as reconstruction supervision."""
+    values used as reconstruction supervision (the untouched weights are
+    graph.base.weights)."""
 
     panel: MaskedPanel
     graph: MaskedGraph
     original_values: np.ndarray  # (N, T, F)
-    original_weights: np.ndarray  # (N, N)
 
 
 def sample_nodes(window: WindowSample, graph: CorrelationGraph, n_sub: int,
@@ -58,7 +58,6 @@ def _subset(window: WindowSample, graph: CorrelationGraph,
         panel=window.panel[idx].copy(),
         target=window.target[idx].copy(),
         end_date=window.end_date,
-        target_date=window.target_date,
         end_index=window.end_index,
         node_ids=[window.node_ids[i] for i in idx],
     )
@@ -95,5 +94,4 @@ def make_masked_sample(window: WindowSample, graph: CorrelationGraph, r_t: float
         panel=mask_temporal(window, r_t, seeds[1]),
         graph=mask_edges(graph, r_g, seeds[2]),
         original_values=window.panel,
-        original_weights=graph.weights,
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,11 +59,6 @@ class MetricsReport:
     winr: float
     pl_ratio: float | None
     n_days: int
-
-    FIELDS = ("ic", "pnl", "ar", "vol", "sharpe", "mdd", "calmar", "winr", "pl_ratio", "n_days")
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.FIELDS}
 
 
 # score/return alignment --------------------------------------------------------
@@ -247,7 +242,7 @@ def write_metrics_csv(path: str | Path, report: MetricsReport) -> None:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
         writer.writerows([key, "" if value is None else repr(float(value))]
-                         for key, value in report.as_dict().items())
+                         for key, value in asdict(report).items())
 
 
 def write_ic_csv(path: str | Path, dates: list[str], ics: list[float]) -> None:

@@ -28,7 +28,6 @@ def check_model_config(size: str = "tiny") -> tuple[model.ModelConfig, int]:
     cfg = model.ModelConfig(
         n_features=feats, d_model=d_model, gat_heads=gh, gat_dim=gd,
         tgm_blocks=blocks, tgm_heads=th, window=window, d_a=d_a,
-        ffn_hidden=2 * d_model, head_hidden=2 * d_model,
     )
     return cfg, n
 
@@ -46,13 +45,11 @@ def make_check_sample(cfg: model.ModelConfig, n_nodes: int, seed: int = 0,
     panel = rng.normal(size=(n_nodes, cfg.window, cfg.n_features))
     target = rng.normal(size=n_nodes)
     window = WindowSample(panel=panel, target=target, end_date="2020-01-31",
-                          target_date="2020-02-01", end_index=cfg.window - 1,
-                          node_ids=list(graph.node_ids))
+                          end_index=cfg.window - 1, node_ids=list(graph.node_ids))
     sample = augment.MaskedSample(
         panel=augment.mask_temporal(window, r_t, seed + 1),
         graph=mask_edges(graph, r_g, seed + 2),
         original_values=window.panel,
-        original_weights=graph.weights,
     )
     return sample, window, graph
 

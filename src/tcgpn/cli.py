@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-data", help="generate a synthetic lead-lag panel")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_synth_data)
 
     p = sub.add_parser("build-graph", help="build an industry or (training-split) distance graph")
@@ -50,14 +50,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["distance", "industry"], required=True)
     p.add_argument("--meta", default=None, help="industry metadata CSV (symbol,industry,registered_capital,turnover)")
     p.add_argument("--out", required=True, help="graph file to write")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("pretrain", help="run the pretraining stage")
     p.add_argument("--data", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True, help="base directory for the run directory")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="fine-tune the prediction head from a checkpoint")
@@ -65,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("predict", help="score a panel with a fine-tuned checkpoint")
@@ -74,14 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
     p.add_argument("--out", required=True, help="predictions CSV to write")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("backtest", help="turn predictions + returns into metrics")
     p.add_argument("--predictions", required=True)
     p.add_argument("--returns", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
@@ -89,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--probe-seed", type=int, default=17, help="seed for the probe sample")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("sweep", help="grid sweep over config keys (synthetic data)")
@@ -98,12 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes, capped at the CPU count")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("config-keys", help="print the config key table")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_config_keys)
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None)
     return parser
 
 
@@ -178,16 +172,17 @@ def _split_windows(panel: data.TimePanel, values):
 def _prepare(args, values):
     """Load panel + graph, then split, standardize and window per the config.
     With a --checkpoint, load its parameters too (None otherwise); its saved
-    model config must equal the config's."""
-    panel, report = data.load_panel(args.data)
-    if report.dropped_dates:
-        print(f"load: dropped {len(report.dropped_dates)} dates missing for some node")
+    model config must equal the config's, and predict needs a fine-tuned one."""
+    panel, dropped_dates = data.load_panel(args.data)
+    if dropped_dates:
+        print(f"load: dropped {len(dropped_dates)} dates missing for some node")
     graph = graphs.load_graph(args.graph, panel.node_ids)
     windows, model_cfg = _split_windows(panel, values)
     params = None
     if getattr(args, "checkpoint", None) is not None:
         try:
-            params, model_cfg = train.load_pretrained(args.checkpoint, model_cfg)
+            params, model_cfg = train.load_pretrained(
+                args.checkpoint, model_cfg, phase="finetune" if args.command == "predict" else None)
         except ValueError as e:
             raise ConfigError(str(e)) from None
     return windows, graph, model_cfg, params
@@ -281,7 +276,7 @@ def cmd_backtest(args, values) -> int:
     if report.dropped_names or report.skipped_dates:
         print(f"note: dropped {len(report.dropped_names)} names, "
               f"skipped {len(report.skipped_dates)} dates; IC skipped {skipped} dates")
-    for key, value in metrics.as_dict().items():
+    for key, value in asdict(metrics).items():
         print(f"{key}: {'absent' if value is None else value}")
     return 0
 

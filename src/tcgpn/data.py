@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as _date
 from pathlib import Path
 
@@ -75,17 +75,12 @@ class WindowSample:
     panel: np.ndarray  # (N, T, F)
     target: np.ndarray  # (N,)
     end_date: str  # last input date
-    target_date: str
     end_index: int  # index of end_date in the source panel
     node_ids: list[str]
 
     @property
     def n_nodes(self) -> int:
         return self.panel.shape[0]
-
-    @property
-    def window(self) -> int:
-        return self.panel.shape[1]
 
 
 @dataclass
@@ -121,14 +116,9 @@ def check_date(path, lineno: int, d: str) -> None:
         raise ValueError(f"{path}:{lineno}: bad date {d!r}")
 
 
-@dataclass
-class LoadReport:
-    dropped_dates: list[str] = field(default_factory=list)
-
-
-def load_panel(path: str | Path) -> tuple[TimePanel, LoadReport]:
+def load_panel(path: str | Path) -> tuple[TimePanel, list[str]]:
     """Read the panel CSV. Only dates on which every node has a row are kept;
-    the dropped dates and the rows on them are reported."""
+    returns the panel and the dropped dates."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -169,11 +159,10 @@ def load_panel(path: str | Path) -> tuple[TimePanel, LoadReport]:
     if not dates:
         raise ValueError(f"{path}: no date is covered by every node")
     kept = set(dates)
-    report = LoadReport(dropped_dates=[d for d in all_dates if d not in kept])
     table = np.array([[rows[s][d] for d in dates] for s in node_ids])  # (N, D, F+1)
     panel = TimePanel(node_ids=node_ids, dates=dates, features=table[:, :, :-1],
                       targets=table[:, :, -1], feature_names=header[2:-1])
-    return panel, report
+    return panel, [d for d in all_dates if d not in kept]
 
 
 def window_samples(panel: TimePanel, window: int, stride: int = 1) -> list[WindowSample]:
@@ -190,7 +179,6 @@ def window_samples(panel: TimePanel, window: int, stride: int = 1) -> list[Windo
             panel=panel.features[:, end - window + 1:end + 1, :],
             target=panel.targets[:, end + 1],
             end_date=panel.dates[end],
-            target_date=panel.dates[end + 1],
             end_index=end,
             node_ids=list(panel.node_ids),
         ))

@@ -63,10 +63,11 @@ def write_loss_log(path: str | Path, reports: list[LossReport]) -> None:
         writer.writerows(r.row() for r in reports)
 
 
-def _as_const(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
+def _masked_mse(target, pred: Tensor, mask: np.ndarray) -> Tensor:
+    """Mean of (pred - target)^2 over the entries where mask, broadcast to
+    pred's shape, is true."""
+    diff = pred - target
+    return tc.mean(tc.masked_select(diff * diff, mask))
 
 
 def loss_temporal(x, x_r: Tensor, mask: np.ndarray) -> Tensor:
@@ -75,11 +76,7 @@ def loss_temporal(x, x_r: Tensor, mask: np.ndarray) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("temporal loss needs at least one masked position")
-    x_const = _as_const(x, x_r)
-    diff = x_r - x_const
-    sq = diff * diff
-    selected = tc.masked_select(sq, mask[:, :, None])
-    return tc.mean(selected)
+    return _masked_mse(x, x_r, mask[:, :, None])
 
 
 def loss_graph(a, a_hat: Tensor, kept: np.ndarray) -> Tensor:
@@ -89,17 +86,14 @@ def loss_graph(a, a_hat: Tensor, kept: np.ndarray) -> Tensor:
     a_arr = np.asarray(a.data if isinstance(a, Tensor) else a)
     if not np.any(kept & (a_arr != 0)):
         raise ValueError("graph loss needs at least one supervised edge")
-    a_const = _as_const(a_arr, a_hat)
-    diff = a_hat - a_const
-    sq = diff * diff
-    return tc.mean(tc.masked_select(sq, kept))
+    return _masked_mse(a_arr, a_hat, kept)
 
 
 def loss_mse(y_hat: Tensor, y) -> Tensor:
-    y_const = _as_const(y, y_hat)
-    if y_hat.shape != y_const.shape:
-        raise ValueError(f"length mismatch: {y_hat.shape} vs {y_const.shape}")
-    diff = y_hat - y_const
+    y_shape = y.shape if isinstance(y, Tensor) else np.shape(y)
+    if y_hat.shape != y_shape:
+        raise ValueError(f"length mismatch: {y_hat.shape} vs {y_shape}")
+    diff = y_hat - y
     return tc.mean(diff * diff)
 
 
@@ -107,7 +101,7 @@ def loss_pearson(y_hat: Tensor, y) -> Tensor:
     """Negative Pearson correlation: minus the mean product of the two
     standardized vectors (population variance). Raises ZeroVarianceError on
     constant input."""
-    y_arr = _as_const(y, y_hat).data
+    y_arr = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=y_hat.data.dtype)
     if float(np.var(y_hat.data)) == 0.0 or float(np.var(y_arr)) == 0.0:
         raise ZeroVarianceError("pearson loss undefined for constant vectors")
     z_y = (y_arr - y_arr.mean()) / y_arr.std()

@@ -59,10 +59,7 @@ class ParamStore:
             t.grad = None
 
     def clone(self) -> "ParamStore":
-        out = ParamStore(dtype=self.dtype)
-        for path, t in self._entries.items():
-            out._entries[path] = Tensor(t.data.copy(), requires_grad=True)
-        return out
+        return ParamStore.from_arrays({path: t.data for path, t in self._entries.items()})
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ParamStore":

@@ -26,7 +26,6 @@ class ShapeError(ValueError):
 
     def __init__(self, op: str, detail: str):
         super().__init__(f"{op}: {detail}")
-        self.op = op
 
 
 _grad_enabled = True
@@ -56,8 +55,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_nbytes")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -297,14 +296,10 @@ def linear(x, w, b=None) -> Tensor:
 # shape manipulation --------------------------------------------------------
 
 
-def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
+def transpose(a, axes: tuple[int, ...]) -> Tensor:
     a = _coerce(a)
-    data = np.transpose(a.data, axes)
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
-    return _result(data, (a,), (lambda g: np.transpose(g, inv),))
+    inv = tuple(np.argsort(axes))
+    return _result(np.transpose(a.data, axes), (a,), (lambda g: np.transpose(g, inv),))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:

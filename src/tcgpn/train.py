@@ -5,11 +5,12 @@ both decoders -> combined loss. Fine-tuning keeps the encoder frozen: it
 encodes each unmasked training and validation window once, then trains only
 the prediction head on those encodings.
 
-Both phases run `_fit`: per batch it sums per-sample gradients and steps Adam
-on their mean, then after each epoch it validates, keeps the best parameters
-and stops after `early_stop_patience` epochs without improvement. Pretraining
-validates on masked-reconstruction loss, fine-tuning on IC. With no
-validation windows, both phases score an epoch by its mean training loss.
+Both phases run `_fit`: per batch each sample's backward adds its gradient
+onto the parameters and Adam steps on their mean, then after each epoch it
+validates, keeps the best parameters and stops after `early_stop_patience`
+epochs without improvement. Pretraining validates on masked-reconstruction
+loss, fine-tuning on IC. With no validation windows, both phases score an
+epoch by its mean training loss.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ class TrainConfig:
     use_graph_loss: bool = True
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.beta < 0:
+            raise ValueError(f"beta must be non-negative, got {self.beta}")
         if not (0 <= self.r_t < 1 and 0 <= self.r_g < 1):
             raise ValueError("mask rates must be in [0, 1)")
         if self.n_sub < 0 or self.n_sub == 1:
@@ -90,22 +97,19 @@ def _fit(phase: str, params: ParamStore, items: list, sample_loss, validate,
         step_losses = []
         for b, start in enumerate(range(0, len(items), cfg.batch_size)):
             batch = items[start:start + cfg.batch_size]
-            grads_total: dict[str, np.ndarray] = {}
             reports = []
+            params.zero_grad()
             for j, item in enumerate(batch):
                 seed = _derive_seed(cfg.seed, epoch, b, j)
                 loss, report = sample_loss(item, seed, step)
                 if not np.isfinite(loss.data):
                     raise RuntimeError(f"non-finite {phase} loss (epoch {epoch}, batch {b}, "
                                        f"window {start + j}, sample seed {seed})")
-                params.zero_grad()
-                loss.backward()
-                for p, t in params.items():
-                    if t.grad is not None:
-                        grads_total[p] = grads_total[p] + t.grad if p in grads_total else t.grad
+                loss.backward()  # adds this sample's gradient onto the leaves
                 del loss  # free this sample's graph before the next one's forward
                 reports.append(report)
-            opt.step(params, {p: g * (1.0 / len(batch)) for p, g in grads_total.items()})
+            opt.step(params, {p: t.grad * (1.0 / len(batch)) for p, t in params.items()
+                              if t.grad is not None})
             result.history.append(losses.LossReport.merge(step, reports))
             step_losses.append(result.history[-1].total)
             step += 1
@@ -150,7 +154,7 @@ def pretrain_sample_losses(sample: augment.MaskedSample, params: ParamStore,
         l_t = losses.loss_temporal(sample.original_values, x_r, sample.panel.mask_positions)
     if cfg.use_graph_loss:
         a_hat = model.adjacency_decoder(out, params)
-        l_g = losses.loss_graph(sample.original_weights, a_hat, sample.graph.mask_kept)
+        l_g = losses.loss_graph(sample.graph.base.weights, a_hat, sample.graph.mask_kept)
     combined = losses.loss_pretrain(l_t, l_g, cfg.beta)
     return combined, l_t, l_g
 
@@ -197,11 +201,12 @@ def pretrain(train_windows: list[WindowSample], val_windows: list[WindowSample],
                 model_cfg, cfg, run_dir, verbose, minimize=True)
 
 
-def load_pretrained(path: str | Path, model_cfg: model.ModelConfig | None = None
-                    ) -> tuple[ParamStore, model.ModelConfig]:
+def load_pretrained(path: str | Path, model_cfg: model.ModelConfig | None = None,
+                    phase: str | None = None) -> tuple[ParamStore, model.ModelConfig]:
     """Load a checkpoint and the model config saved with it, and validate its
     manifest against that config. A given model_cfg must equal the saved one
-    in every field; the error names the fields that differ."""
+    in every field; the error names the fields that differ. A given phase
+    must be the one that saved the checkpoint."""
     store, config = load_checkpoint(path)
     if config is None or "model" not in config:
         raise ValueError(f"{path}: checkpoint carries no model config")
@@ -215,6 +220,8 @@ def load_pretrained(path: str | Path, model_cfg: model.ModelConfig | None = None
         raise ValueError(f"{path}: model config differs from the checkpoint's: {', '.join(differ)}")
     if store.shapes() != model.param_shapes(saved_cfg):
         raise ValueError(f"{path}: checkpoint manifest does not match the model config")
+    if phase is not None and config.get("phase") != phase:
+        raise ValueError(f"{path}: checkpoint phase is {config.get('phase')!r}, need {phase!r}")
     return store, saved_cfg
 
 

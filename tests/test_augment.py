@@ -83,7 +83,7 @@ def test_mask_span_length_thirty_percent_of_thirty_is_nine():
 def test_mask_span_contiguous_and_zeroed():
     window, _ = make_inputs(d=60)
     mp = mask_temporal(window, 0.4, seed=7)
-    span = int(0.4 * window.window)
+    span = int(0.4 * window.panel.shape[1])
     for i in range(window.n_nodes):
         s = int(np.argmax(mp.mask_positions[i]))  # first hidden step
         assert mp.mask_positions[i, s:s + span].all()
@@ -96,8 +96,8 @@ def test_mask_span_contiguous_and_zeroed():
 def test_mask_valid_start_range_boundaries():
     window, _ = make_inputs(d=40)
     window = augment.WindowSample(panel=window.panel[:, :10], target=window.target,
-                                  end_date=window.end_date, target_date=window.target_date,
-                                  end_index=window.end_index, node_ids=window.node_ids)
+                                  end_date=window.end_date, end_index=window.end_index,
+                                  node_ids=window.node_ids)
     starts = set()
     for seed in range(300):
         mp = mask_temporal(window, 0.5, seed=seed)
@@ -124,4 +124,4 @@ def test_masked_sample_consistent_node_sets():
     assert ms.graph.mask_kept.shape == (4, 4)
     rows = [window.node_ids.index(nid) for nid in ms.graph.base.node_ids]
     assert np.array_equal(ms.original_values, window.panel[rows])
-    assert np.array_equal(ms.original_weights, graph.weights[np.ix_(rows, rows)])
+    assert np.array_equal(ms.graph.base.weights, graph.weights[np.ix_(rows, rows)])

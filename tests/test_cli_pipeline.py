@@ -57,6 +57,14 @@ def test_full_pipeline(pipeline, capsys):
     assert code == 0, capsys.readouterr().err
     lines = preds.read_text().strip().splitlines()
     assert lines[0] == "date,symbol,score" and len(lines) > 1
+    # a pretraining checkpoint holds an untrained head: predict refuses it
+    untrained = root / "untrained.csv"
+    code = dispatch(["predict", "--checkpoint", str(run / "pretrained.ckpt"),
+                     "--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt"),
+                     "--out", str(untrained)] + TINY)
+    err = capsys.readouterr().err
+    assert code == 3 and err.count("\n") == 1 and not untrained.exists()
+    assert f"{run / 'pretrained.ckpt'}: checkpoint phase is 'pretrain'" in err
 
     bt = root / "bt"
     code = dispatch(["backtest", "--predictions", str(preds),
@@ -112,7 +120,9 @@ def test_checkpoint_config_mismatch_rejected(pipeline, capsys):
 
 @pytest.mark.parametrize("bad", [["--lambda_m", "-0.1"], ["--r_t", "1.0"], ["--batch_size", "0"],
                                  ["--d_model", "8", "--tgm_heads", "3"],
-                                 ["--n_sub", "1"], ["--n_sub", "-5"]])
+                                 ["--n_sub", "1"], ["--n_sub", "-5"],
+                                 ["--epochs", "0", "--finetune_epochs", "0"], ["--lr", "0"],
+                                 ["--beta", "-1"]])
 def test_bad_training_value_exits_3_without_run_dir(pipeline, tmp_path, capsys, bad):
     root, synth = pipeline
     inputs = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]

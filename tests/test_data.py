@@ -34,12 +34,12 @@ def test_load_small_panel_shapes(tmp_path):
         "2020-01-01,a,1.0,0.1", "2020-01-02,a,2.0,0.2", "2020-01-03,a,3.0,0.3",
         "2020-01-01,b,4.0,0.4", "2020-01-02,b,5.0,0.5", "2020-01-03,b,6.0,0.6",
     ])
-    panel, report = load_panel(p)
+    panel, dropped_dates = load_panel(p)
     assert panel.n_nodes == 2 and panel.n_dates == 3 and panel.n_features == 1
     assert panel.node_ids == ["a", "b"]
     assert panel.features[0, 1, 0] == 2.0
     assert panel.targets[1, 2] == 0.6
-    assert report.dropped_dates == []
+    assert dropped_dates == []
 
 
 def test_load_intersects_dates_and_reports(tmp_path):
@@ -48,9 +48,9 @@ def test_load_intersects_dates_and_reports(tmp_path):
         "2020-01-01,a,1.0,0.1", "2020-01-02,a,2.0,0.2", "2020-01-03,a,3.0,0.3",
         "2020-01-01,b,4.0,0.4", "2020-01-03,b,6.0,0.6",
     ])
-    panel, report = load_panel(p)
+    panel, dropped_dates = load_panel(p)
     assert panel.dates == ["2020-01-01", "2020-01-03"]
-    assert report.dropped_dates == ["2020-01-02"]
+    assert dropped_dates == ["2020-01-02"]
 
 
 def test_load_forty_five_feature_columns(tmp_path):
@@ -118,15 +118,16 @@ def test_window_counts():
 def test_last_window_target_is_final_date():
     panel = make_panel(d=40)
     windows = window_samples(panel, 30, 1)
-    assert windows[-1].target_date == panel.dates[-1]
+    assert panel.dates[windows[-1].end_index + 1] == panel.dates[-1]
     assert np.array_equal(windows[-1].target, panel.targets[:, -1])
 
 
 def test_no_lookahead_every_feature_before_target():
     panel = make_panel(d=45)
     for w in window_samples(panel, 30, 4):
-        assert w.end_date < w.target_date
-        assert w.window == 30
+        assert w.end_date == panel.dates[w.end_index] < panel.dates[w.end_index + 1]
+        assert np.array_equal(w.target, panel.targets[:, w.end_index + 1])
+        assert w.panel.shape[1] == 30
 
 
 def test_window_stride():

@@ -8,7 +8,7 @@ import pytest
 
 from tcgpn import checks, data, losses, model, train
 from tcgpn.data import SyntheticSpec, gen_synthetic, split_by_fraction, window_samples
-from tcgpn.tensorcore import Adam, load_checkpoint, memory
+from tcgpn.tensorcore import Adam, forward_backward, load_checkpoint, memory
 
 
 def mini_setup(seed=0, d=70, t=12):
@@ -55,6 +55,33 @@ def test_pretrain_history_and_logs(tmp_path):
     assert (tmp_path / "pretrain_log.csv").exists()
     assert res.history and res.history[0].l_t is not None and res.history[0].l_g is not None
     assert len(res.val_history) == 2
+
+
+def test_step_is_adam_on_the_mean_of_per_sample_gradients(monkeypatch):
+    # the training loop lets each sample's backward add onto the parameters;
+    # its first step must equal the mean of separately computed gradients
+    _, wtrain, _, graph, cfg = mini_setup()
+    tcfg = fast_train_cfg(epochs=1, batch_size=3)
+    stepped = []
+    step = Adam.step
+
+    def recording(self, params, grads):
+        stepped.append({p: g.copy() for p, g in grads.items()})
+        return step(self, params, grads)
+
+    monkeypatch.setattr(Adam, "step", recording)
+    train.pretrain(wtrain[:3], [], graph, cfg, tcfg)
+    params = model.init_params(cfg, seed=tcfg.seed)
+    total = {}
+    for j, window in enumerate(wtrain[:3]):
+        sample = train._make_sample(window, graph, tcfg, train._derive_seed(tcfg.seed, 0, 0, j))
+        _, grads = forward_backward(
+            lambda p: train.pretrain_sample_losses(sample, p, cfg, tcfg)[0], params)
+        for p, g in grads.items():
+            total[p] = total[p] + g if p in total else g
+    assert len(stepped) == 1 and sorted(stepped[0]) == sorted(total)
+    for p, g in total.items():
+        assert np.array_equal(stepped[0][p], g * (1.0 / 3)), p
 
 
 def test_pretrain_loss_decreases_on_average():
@@ -192,6 +219,15 @@ def test_train_config_validation():
         train.TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="lambda_m"):
         train.TrainConfig(lambda_m=-0.1)
+    for epochs in (0, -2):
+        with pytest.raises(ValueError, match="epochs"):
+            train.TrainConfig(epochs=epochs)
+    for lr in (0.0, -0.01):
+        with pytest.raises(ValueError, match="learning_rate"):
+            train.TrainConfig(learning_rate=lr)
+    with pytest.raises(ValueError, match="beta"):
+        train.TrainConfig(beta=-1.0)
+    train.TrainConfig(epochs=1, beta=0.0)  # the smallest legal values
 
 
 def test_no_validation_scores_epoch_mean_training_loss():
