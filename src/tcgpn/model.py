@@ -8,7 +8,7 @@ distance. Decoders reconstruct the masked series and the adjacency; the
 fine-tune head reads out one score per node. The temporal decoder runs its
 query side on the masked steps only, the rows the reconstruction loss reads.
 
-Causality is enforced with hard zeros: `tc.decay_softmax` excludes future
+Causality is enforced with hard zeros: `tc.attention` excludes future
 positions from the attention row max and gives them exp(-inf) = 0 weight,
 so they cannot move earlier outputs even at the bit level.
 """
@@ -190,7 +190,10 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
     if connectivity.shape != (n, n):
         raise ValueError(f"connectivity shape {connectivity.shape} != ({n}, {n})")
     keep = np.asarray(connectivity, dtype=bool) | np.eye(n, dtype=bool)
-    x_t = tc.transpose(x, (1, 0, 2))  # (T, N, d)
+    t, d = x.shape[1:]
+    # one contiguous (T, N, d) copy: the (T*N, d) reshape of the transposed
+    # view copies it, so no head's projection or weight gradient copies again
+    x_t = tc.reshape(tc.reshape(tc.transpose(x, (1, 0, 2)), (t * n, d)), (t, n, d))
     heads = []
     for k in range(cfg.gat_heads):
         h = tc.linear(x_t, params[f"gat.h{k}.weight"])  # (T, N, g)
@@ -198,7 +201,7 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
         alpha = tc.edge_softmax(tc.linear(h, a), keep, cfg.leaky_slope)  # (T, N, N)
         heads.append(tc.matmul(alpha, h))  # (T, N, g)
     z = heads[0] if len(heads) == 1 else tc.concat(heads, axis=2)
-    return tc.leaky_relu(tc.transpose(z, (1, 0, 2)), cfg.leaky_slope)
+    return tc.transpose(tc.leaky_relu(z, cfg.leaky_slope), (1, 0, 2))
 
 
 def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,
@@ -214,21 +217,12 @@ def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,
     defaults to x; `decay` then has S rows, (S, T) or per node (N, 1, S, T).
     """
     q_in = x if queries is None else queries
-    n, s = q_in.shape[:2]
-    d, n_heads = cfg.d_model, cfg.tgm_heads
-    dk = d // n_heads
-
-    def split_heads(y: Tensor) -> Tensor:
-        return tc.transpose(tc.reshape(y, (n, y.shape[1], n_heads, dk)), (0, 2, 1, 3))
-
-    q = split_heads(tc.linear(q_in, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]))
-    k = split_heads(tc.linear(x, params[f"{prefix}.attn.wk"]))
-    v = split_heads(tc.linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]))
-    scores = tc.matmul(q, tc.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
-    weights = tc.decay_softmax(scores, decay)  # (N, H, S, T)
+    q = tc.linear(q_in, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"])
+    k = tc.linear(x, params[f"{prefix}.attn.wk"])
+    v = tc.linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"])
+    mixed, weights = tc.attention(q, k, v, decay, cfg.tgm_heads)  # weights (N, H, S, T)
     if attention_out is not None:
         attention_out.append(weights.data.copy())
-    mixed = tc.reshape(tc.transpose(tc.matmul(weights, v), (0, 2, 1, 3)), (n, s, d))
     mixed = tc.linear(mixed, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
     x1 = tc.normalize(q_in + mixed, 1e-5, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
     inner = tc.relu(tc.linear(x1, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
@@ -266,23 +260,23 @@ def temporal_decoder(o_l: Tensor, params: ParamStore, cfg: ModelConfig,
     evaluated only at the (N, T) steps where `mask` is true (every step when
     mask is None). Returns (N, T, F) with exact zeros at the other steps.
 
-    Every node must have the same count S of true steps. Their encodings are
-    gathered into (N, S, d) queries, the block attends from them over all T
-    encodings, and one constant one-hot (N, T, S) product scatters the
-    decoded rows back into place.
+    Every node must have the same count S of true steps. One constant one-hot
+    (N, T, S) array does both moves: its transpose gathers their encodings
+    into (N, S, d) queries, the block attends from them over all T
+    encodings, and its product scatters the decoded rows back into place.
     """
-    n, t, d = o_l.shape
+    n, t, _ = o_l.shape
     mask = np.ones((n, t), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if mask.shape != (n, t) or np.ptp(mask.sum(axis=1)) != 0:
         raise ValueError(f"temporal_decoder: mask must be ({n}, {t}) with the same step count on every node")
     steps = np.nonzero(mask)[1].reshape(n, -1)  # each node's S true steps, ascending
     s = steps.shape[1]
-    rows = tc.reshape(tc.masked_select(o_l, mask[:, :, None]), (n, s, d))
+    scatter = np.zeros((n, t, s), dtype=o_l.data.dtype)
+    scatter[np.arange(n)[:, None], steps, np.arange(s)] = 1.0
+    rows = tc.matmul(scatter.transpose(0, 2, 1), o_l)  # (N, S, d)
     decay = gaussian_mask(cfg.window, cfg.sigma_h)[steps][:, None]  # (N, 1, S, T)
     x = tgm_block(o_l, params, "dec.block0", cfg, decay, queries=rows)
     out = tc.linear(x, params["dec.out.weight"], params["dec.out.bias"])  # (N, S, F)
-    scatter = np.zeros((n, t, s), dtype=out.data.dtype)
-    scatter[np.arange(n)[:, None], steps, np.arange(s)] = 1.0
     return tc.matmul(scatter, out)
 
 

@@ -10,8 +10,8 @@ from .tensor import (
     ShapeError,
     Tensor,
     add,
+    attention,
     concat,
-    decay_softmax,
     div,
     edge_softmax,
     leaky_relu,
@@ -38,8 +38,8 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "add",
+    "attention",
     "concat",
-    "decay_softmax",
     "div",
     "edge_softmax",
     "forward_backward",

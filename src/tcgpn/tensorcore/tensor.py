@@ -3,8 +3,8 @@
 The primitive set is closed, 17 in all: add, sub, mul, div, matmul,
 linear (a stacked input times one matrix plus an optional bias, as one GEMM),
 transpose, reshape, concat, normalize (zero mean, unit variance over the last
-axis, with an optional affine gain and shift), relu, leaky_relu,
-decay_softmax (attention normalisation under a constant weight array),
+axis, with an optional affine gain and shift), relu, leaky_relu, attention
+(multi-head attention whose softmax is reweighted by a constant decay array),
 edge_softmax (graph attention over the kept edges of a constant neighbour
 mask), sum, mean and masked_select.
 Every primitive has an exact vector-Jacobian product, so any composition of
@@ -14,6 +14,7 @@ verifies this.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -383,32 +384,83 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     return _result(np.where(pos, a.data, a.data * slope), (a,), (lambda g: np.where(pos, g, g * slope),))
 
 
-def decay_softmax(a, decay: np.ndarray) -> Tensor:
-    """Softmax over the last axis reweighted by a non-negative constant
-    array: y_i = decay_i exp(a_i) / sum_j decay_j exp(a_j).
+def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
+    """Multi-head attention under a non-negative constant decay, as one node.
 
-    `decay` broadcasts against `a`; a boolean mask gives the plain masked
-    softmax. Zero-weight entries see -inf before the row max, so changing
-    their scores cannot move the surviving weights even at the bit level,
-    and they get exactly zero weight and zero gradient. Each row needs one
-    positive weight, or it comes out NaN.
+    q is (N, S, d) and k, v are (N, T, d). Each is split into `heads` heads
+    of width dk = d / heads; the scores q kᵀ / sqrt(dk) go through the decay
+    softmax y_j = decay_j exp(s_j) / sum_i decay_i exp(s_i) over the T keys,
+    the weights mix the values, and the heads merge back into (N, S, d).
+    `decay` broadcasts to (N, heads, S, T). Zero-weight keys see -inf before
+    the row max, so changing their scores cannot move the surviving weights
+    even at the bit level, and they get exactly zero weight and zero
+    gradient. Each row needs one positive weight, or it comes out NaN.
+
+    Returns the merged output and the (N, heads, S, T) weights, a constant
+    tensor and the only array the node keeps for backward. The scores
+    gradient is computed once, for the q and k vjps. The arithmetic is that
+    of the head-split, matmul, scale, softmax, matmul and merge composition,
+    on the same view layouts and in the same order, so results are bitwise
+    equal to it.
     """
-    a = _coerce(a)
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    if (q.data.ndim != 3 or k.data.shape != v.data.shape or k.data.shape[::2] != q.data.shape[::2]
+            or q.data.shape[2] % heads):
+        raise ShapeError("attention", f"need q (N, S, d) and k, v (N, T, d) with d divisible by "
+                         f"{heads} heads, got {q.data.shape}, {k.data.shape}, {v.data.shape}")
+    n, s, d = q.data.shape
+    t = k.data.shape[1]
+    dk = d // heads
+    dtype = q.data.dtype
+    scale = np.asarray(1.0 / math.sqrt(dk), dtype=dtype)
+
+    def split(a, rows):  # (N, rows, d) -> (N, H, rows, dk) view
+        return a.reshape(n, rows, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge(a, rows):  # (N, H, rows, dk) -> (N, rows, d) copy
+        return a.transpose(0, 2, 1, 3).reshape(n, rows, d)
+
+    q4, k4, v4 = split(q.data, s), split(k.data, t), split(v.data, t)
     decay = np.asarray(decay)
-    dtype = a.data.dtype
+    scores = q4 @ k4.transpose(0, 1, 3, 2)
+    scores *= scale
     try:
-        y = np.where(decay > 0, a.data, dtype.type(-np.inf))
+        y = np.where(decay > 0, scores, dtype.type(-np.inf))
     except ValueError as e:
-        raise ShapeError("decay_softmax", str(e)) from None
+        raise ShapeError("attention", str(e)) from None
+    del scores
+    if y.shape != (n, heads, s, t):
+        raise ShapeError("attention", f"decay {decay.shape} does not broadcast to {(n, heads, s, t)}")
     y -= np.max(y, axis=-1, keepdims=True)
     np.exp(y, out=y)
     y *= decay.astype(dtype)
     y /= y.sum(axis=-1, keepdims=True)
+    out = merge(y @ v4, s)
+    weights = Tensor(y)  # the vjps read y through `weights`, which keeps it counted
+    held = []  # the scores gradient, from the q vjp to the k vjp
 
-    def vjp(g):
-        return _unbroadcast(y * (g - (g * y).sum(axis=-1, keepdims=True)), a.data.shape)
+    def scores_grad(g):
+        if held:
+            return held.pop()
+        ds = split(g, s) @ v4.swapaxes(-1, -2)
+        ds -= (ds * weights.data).sum(axis=-1, keepdims=True)
+        ds *= weights.data
+        ds *= scale
+        return ds
 
-    return _result(y, (a,), (vjp,))
+    def grad_q(g):
+        ds = scores_grad(g)
+        if k.requires_grad:
+            held.append(ds)
+        return merge(ds @ k4, s)
+
+    def grad_k(g):
+        return merge(np.transpose(q4.swapaxes(-1, -2) @ scores_grad(g), (0, 1, 3, 2)), t)
+
+    def grad_v(g):
+        return merge(weights.data.swapaxes(-1, -2) @ split(g, s), t)
+
+    return _result(out, (q, k, v), (grad_q, grad_k, grad_v)), weights
 
 
 def edge_softmax(e, keep: np.ndarray, slope: float) -> Tensor:

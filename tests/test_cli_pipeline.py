@@ -31,13 +31,21 @@ def run_dirs(base):
     return sorted(p for p in base.iterdir() if p.is_dir())
 
 
-def test_full_pipeline(pipeline, capsys):
+@pytest.fixture(scope="module")
+def pretrained(pipeline):
+    """The run directory of one CLI pretraining run, which the tests that
+    fine-tune, predict or load its checkpoint start from."""
     root, synth = pipeline
     runs = root / "runs"
-    code = dispatch(["pretrain", "--data", str(synth / "panel.csv"),
-                     "--graph", str(synth / "graph.txt"), "--out", str(runs)] + TINY)
-    assert code == 0, capsys.readouterr().err
-    run = run_dirs(runs)[0]
+    assert dispatch(["pretrain", "--data", str(synth / "panel.csv"),
+                     "--graph", str(synth / "graph.txt"), "--out", str(runs)] + TINY) == 0
+    return run_dirs(runs)[0]
+
+
+def test_full_pipeline(pipeline, pretrained, capsys):
+    root, synth = pipeline
+    runs = root / "runs"
+    run = pretrained
     assert (run / "pretrained.ckpt").exists()
     assert (run / "config.txt").exists()
     assert (run / "inputs.sha256").exists()
@@ -91,10 +99,9 @@ def test_pretrain_determinism_across_cli_runs(pipeline):
     assert ck_a == ck_b
 
 
-def test_checkpoint_config_mismatch_rejected(pipeline, capsys):
+def test_checkpoint_config_mismatch_rejected(pipeline, pretrained, capsys):
     root, synth = pipeline
-    runs = root / "runs"
-    run = [d for d in run_dirs(runs) if (d / "pretrained.ckpt").exists()][0]
+    run = pretrained
     inputs = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]
     wrong = [a if a != "8" else "16" for a in TINY]  # d_model 8 -> 16
     code = dispatch(["finetune", "--checkpoint", str(run / "pretrained.ckpt"),

@@ -30,15 +30,15 @@ def test_linear_loss_is_exact():
 
 def test_softmax_attention_toy_loss():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(4, 6)))
+    x = Tensor(rng.normal(size=(2, 4, 6)))
     store = make_store({"wq": (6, 6), "wk": (6, 6), "wv": (6, 6)}, seed=3)
+    causal = np.tril(np.exp(-np.subtract.outer(np.arange(4), np.arange(4)) ** 2 / 8.0))
 
     def loss(s):
         q = tc.matmul(x, s["wq"])
         k = tc.matmul(x, s["wk"])
         v = tc.matmul(x, s["wv"])
-        w = tc.decay_softmax(tc.matmul(q, tc.transpose(k, (1, 0))), np.ones((4, 4)))
-        out = tc.matmul(w, v)
+        out, _ = tc.attention(q, k, v, causal, 2)
         return tc.sum(out * out)
 
     report = grad_check(loss, store, eps=1e-5, tol=1e-4)
@@ -88,7 +88,8 @@ def test_randomized_composites_match_fd_over_seeds():
 
         def loss(s):
             h = tc.leaky_relu(tc.matmul(x, s["w1"]), 0.2)
-            h = tc.decay_softmax(h, np.ones(h.shape))
+            rows = tc.reshape(h, (1, 3, 4))
+            h = tc.reshape(tc.attention(rows, rows, rows, np.ones((3, 3)), 2)[0], (3, 4))
             out = tc.relu(tc.matmul(h, s["w2"]))
             m = tc.mean(h, axis=0)
             return tc.mean(out * out) + tc.sum(tc.normalize(h, 1e-3) * m)

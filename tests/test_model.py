@@ -12,6 +12,7 @@ from tcgpn.model import (ModelConfig, adjacency_decoder,
                          gat_forward, gaussian_mask, init_params,
                          positional_table, temporal_decoder, tgm_block)
 from tcgpn.tensorcore import Tensor, memory, no_grad
+from test_tensor import composed_attention
 
 
 def tiny_cfg(**over):
@@ -482,9 +483,44 @@ def test_pretrain_forward_tensor_count_is_pinned(monkeypatch):
     fused = _forward_tensor_count(monkeypatch)
     # 15 biased linear layers and 4 layer norms: 15 + 2 * 4 fewer nodes than composed.
     # The temporal decoder's masked-step gather and scatter add 4 nodes to each: the
-    # masked_select, its reshape to (N, S, d), the one-hot constant and its matmul.
+    # one-hot constant, its transpose's gather matmul, and the same for the scatter.
+    # tc.attention keeps 2 tensors per block (its output and its weights) where the
+    # composition built 14, and the acceptance model has 2 blocks (1 encoder, 1
+    # decoder): 95 - 12 * 2 = 71. The GAT's one contiguous time-major copy adds 2
+    # (the copying reshape and its reshape back to (T, N, d)): 73.
     _compose_affine_primitives(monkeypatch)
-    assert (fused, _forward_tensor_count(monkeypatch)) == (95, 118)
+    assert (fused, _forward_tensor_count(monkeypatch)) == (73, 96)
+
+
+def test_attention_node_matches_its_composition_over_a_whole_sample(monkeypatch):
+    """One float32 pretraining sample at acceptance scale, forward and
+    backward, with tc.attention and with its composition: the loss and every
+    parameter gradient are bitwise equal."""
+    cfg = ModelConfig(**ACCEPT_MODEL)
+    sample, _, _ = checks.make_check_sample(cfg, 20, seed=5)
+    train_cfg = train.TrainConfig(epochs=1, r_t=0.3, r_g=0.3)
+    runs, calls = [], []
+
+    def recorded(q, k, v, decay, heads):
+        calls.append(decay.shape)
+        return composed_attention(q, k, v, decay, heads)
+
+    for compose in (False, True):
+        with monkeypatch.context() as m:
+            if compose:
+                m.setattr(tc, "attention", recorded)
+            params = init_params(cfg, seed=3, dtype=np.float32)
+            combined, l_t, l_g = train.pretrain_sample_losses(sample, params, cfg, train_cfg)
+            combined.backward()
+        runs.append(([combined.data, l_t.data, l_g.data], {p: t.grad for p, t in params.items()}))
+    assert calls == [(cfg.window, cfg.window), (20, 1, 9, cfg.window)]  # the encoder and decoder blocks
+    (fused_losses, fused_grads), (composed_losses, composed_grads) = runs
+    for fused, composed in zip(fused_losses, composed_losses):
+        assert fused.dtype == np.float32 and np.array_equal(fused, composed)
+    assert fused_grads.keys() == composed_grads.keys()
+    for path, grad in fused_grads.items():
+        assert (grad is None) == (composed_grads[path] is None), path
+        assert grad is None or np.array_equal(grad, composed_grads[path]), path
 
 
 # decoding only the masked steps -----------------------------------------------------

@@ -1,10 +1,12 @@
 """Autodiff primitives: values, exact VJPs, shape errors."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tcgpn import tensorcore as tc
-from tcgpn.tensorcore import ParamStore, ShapeError, Tensor, forward_backward
+from tcgpn.tensorcore import ParamStore, ShapeError, Tensor, forward_backward, memory
 from tcgpn.tensorcore import tensor as tensor_mod
 
 
@@ -64,7 +66,8 @@ def test_shape_mismatch_names_op():
         tc.normalize(t, 1e-5, tc.mean(t, axis=0), tc.sum(t * t, axis=0)) * np.array([1.0, -2.0, 0.5]))),
     ("relu", lambda t: tc.sum(tc.relu(t) * tc.relu(t))),
     ("leaky", lambda t: tc.sum(tc.leaky_relu(t, 0.2) * t)),
-    ("softmax", lambda t: tc.sum(tc.decay_softmax(t, np.ones(t.shape)) * t)),
+    ("softmax", lambda t: tc.sum(_self_attention(t, np.ones((2, 2)), 1) * t)),
+    ("attention", lambda t: tc.sum(_self_attention(t, np.array([[1.0, 0.0], [0.5, 1.0]]), 3) * t)),
     ("mean", lambda t: tc.mean(t * t)),
     ("div", lambda t: tc.sum(t / (t * t + 1.0))),
     ("transpose", lambda t: tc.sum(tc.transpose(t, (1, 0)) @ t)),
@@ -210,15 +213,27 @@ def test_concat_grads():
     assert np.allclose(grad, num, rtol=1e-5, atol=1e-7)
 
 
+def _self_attention(t: Tensor, decay: np.ndarray, heads: int) -> Tensor:
+    """tc.attention of a (2, 3) tensor over itself as one node's (S=T=2, d=3) rows."""
+    rows = tc.reshape(t, (1, 2, 3))
+    return tc.reshape(tc.attention(rows, rows, rows, decay, heads)[0], (2, 3))
+
+
 def test_decay_softmax_and_masked_select_route_gradients():
+    rng = np.random.default_rng(13)
+    q = Tensor(rng.normal(size=(1, 2, 4)), requires_grad=True)
+    k = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    v = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    decay = np.array([[0.5, 0.0, 2.0], [1.0, 0.0, 0.0]])  # key 1 has zero weight in every row
+    out, weights = tc.attention(q, k, v, decay, 2)
+    tc.sum(out * rng.normal(size=out.shape)).backward()
+    assert np.all(weights.data[..., decay == 0] == 0.0)
+    for grad in (k.grad, v.grad):  # exactly zero, not rounding noise
+        assert np.all(grad[:, 1] == 0.0) and np.all(grad[:, [0, 2]] != 0.0)
+    assert np.all(q.grad[:, 0] != 0.0)
+
     x = Tensor(np.array([[1.0, -2.0, 0.5], [3.0, 4.0, -1.0]]), requires_grad=True)
     mask = np.array([[True, False, True], [False, True, True]])
-    weights = np.where(mask, [[0.5, 1.0, 2.0]], 0.0)
-    tc.sum(tc.decay_softmax(x, weights) * np.array([1.0, 2.0, 3.0])).backward()
-    assert np.all(x.grad[~mask] == 0.0)  # exactly zero, not rounding noise
-    assert np.all(x.grad[mask] != 0.0)
-
-    x.grad = None
     tc.sum(tc.masked_select(x * x, mask)).backward()
     expected = np.where(mask, 2 * x.data, 0.0)
     assert np.array_equal(x.grad, expected)
@@ -227,9 +242,23 @@ def test_decay_softmax_and_masked_select_route_gradients():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
     for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
-        x = Tensor(rng.normal(size=(5, 7)).astype(dtype) * 10)
-        y = tc.decay_softmax(x, np.ones((5, 7)))
-        assert np.allclose(y.data.sum(axis=-1), 1.0, atol=tol)
+        q, k = (Tensor(rng.normal(size=(2, m, 6)).astype(dtype) * 10) for m in (5, 7))
+        out, weights = tc.attention(q, k, Tensor(np.ones((2, 7, 6), dtype=dtype)), np.ones((5, 7)), 3)
+        assert weights.shape == (2, 3, 5, 7) and weights.data.dtype == dtype
+        assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=tol)
+        assert np.allclose(out.data, 1.0, atol=tol)  # each row averages all-ones values
+
+
+def _decay_softmax_node(scores: Tensor, decay: np.ndarray) -> Tensor:
+    """Reference: the decay softmax as one node with the closed-form vjp
+    y (g - sum(g y)), the form tc.attention's arithmetic reproduces."""
+    decay = np.asarray(decay)
+    y = np.where(decay > 0, scores.data, scores.data.dtype.type(-np.inf))
+    y -= np.max(y, axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y *= decay.astype(scores.data.dtype)
+    y /= y.sum(axis=-1, keepdims=True)
+    return tensor_mod._result(y, (scores,), (lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)),))
 
 
 def _six_node_decay_softmax(scores: Tensor, decay: np.ndarray) -> Tensor:
@@ -247,54 +276,129 @@ def _six_node_decay_softmax(scores: Tensor, decay: np.ndarray) -> Tensor:
     return num / den
 
 
+def composed_attention(q, k, v, decay: np.ndarray, heads: int, softmax=_decay_softmax_node):
+    """Reference: tc.attention composed from single-purpose nodes, as the
+    model built it before: head splits, key transpose, matmul, scale,
+    decay softmax, matmul and the head merge."""
+    n, s, d = q.shape
+    dk = d // heads
+
+    def split_heads(y):
+        return tc.transpose(tc.reshape(y, (n, y.shape[1], heads, dk)), (0, 2, 1, 3))
+
+    scores = tc.matmul(split_heads(q), tc.transpose(split_heads(k), (0, 1, 3, 2))) * (1.0 / math.sqrt(dk))
+    weights = softmax(scores, decay)
+    mixed = tc.matmul(weights, split_heads(v))
+    return tc.reshape(tc.transpose(mixed, (0, 2, 1, 3)), (n, s, d)), weights
+
+
 def _attention_cases(rng):
-    """(scores shape, decay) pairs as the encoder uses them: a causal decay
-    over time broadcast across nodes and heads, and a boolean neighbour mask
-    broadcast across time steps."""
-    i, j = np.arange(6)[:, None], np.arange(6)[None, :]
+    """(n, s, t, d, heads, decay) as the model uses them: the encoder's causal
+    decay over S = T steps, shared by every node, and the temporal decoder's
+    per-node (N, 1, S, T) rows for S < T query steps."""
+    i, j = np.arange(7)[:, None], np.arange(7)[None, :]
     causal = np.where(j > i, 0.0, np.exp(-((j - i) ** 2) / 4.5))
-    neighbours = rng.uniform(size=(5, 1, 5)) < 0.5
-    neighbours |= np.eye(5, dtype=bool)[:, None, :]
-    return [((3, 2, 6, 6), causal), ((5, 4, 5), neighbours)]
+    steps = np.sort(np.stack([rng.choice(7, size=3, replace=False) for _ in range(4)]), axis=1)
+    steps[0] = (1, 4, 6)  # one node queries the last step
+    return [(3, 7, 7, 8, 2, causal), (4, 3, 7, 6, 3, causal[steps][:, None])]
+
+
+def _attention_inputs(rng, n, s, t, d, dtype):
+    return [(rng.normal(size=shape) * 2).astype(dtype) for shape in ((n, s, d), (n, t, d), (n, t, d))]
+
+
+def test_attention_equals_its_composition_bitwise():
+    rng = np.random.default_rng(21)
+    for n, s, t, d, heads, decay in _attention_cases(rng):
+        for dtype in (np.float32, np.float64):
+            arrays = _attention_inputs(rng, n, s, t, d, dtype)
+            upstream = rng.normal(size=(n, s, d)).astype(dtype)
+            results = []
+            for attention in (tc.attention, composed_attention):
+                inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+                out, weights = attention(*inputs, decay, heads)
+                tc.sum(out * upstream).backward()
+                results.append([out.data, weights.data] + [x.grad for x in inputs])
+            assert results[0][0].dtype == dtype and results[0][1].shape == (n, heads, s, t)
+            for fused, composed in zip(*results):
+                assert fused.shape == composed.shape and np.array_equal(fused, composed), (s, t, dtype)
 
 
 def test_decay_softmax_equals_six_node_composition():
-    rng = np.random.default_rng(21)
-    for shape, decay in _attention_cases(rng):
+    rng = np.random.default_rng(22)
+    for n, s, t, d, heads, decay in _attention_cases(rng):
         for dtype in (np.float32, np.float64):
-            raw = (rng.normal(size=shape) * 3).astype(dtype)
-            fused = tc.decay_softmax(Tensor(raw), decay).data
-            assert fused.dtype == dtype
-            assert np.array_equal(fused, _six_node_decay_softmax(Tensor(raw), decay).data)
+            inputs = [Tensor(a) for a in _attention_inputs(rng, n, s, t, d, dtype)]
+            fused, weights = tc.attention(*inputs, decay, heads)
+            six_node, six_node_weights = composed_attention(*inputs, decay, heads, _six_node_decay_softmax)
+            assert np.array_equal(fused.data, six_node.data) and np.array_equal(weights.data, six_node_weights.data)
 
-        raw = rng.normal(size=shape) * 3
-        upstream = rng.normal(size=shape)
+        arrays = _attention_inputs(rng, n, s, t, d, np.float64)
+        upstream = rng.normal(size=(n, s, d))
         grads = []
-        for softmax in (tc.decay_softmax, _six_node_decay_softmax):
-            x = Tensor(raw.copy(), requires_grad=True)
-            tc.sum(softmax(x, decay) * upstream).backward()
-            grads.append(x.grad)
-        assert np.abs(grads[0] - grads[1]).max() < 1e-12
+        for attention in (tc.attention, lambda *a: composed_attention(*a, _six_node_decay_softmax)):
+            inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            tc.sum(attention(*inputs, decay, heads)[0] * upstream).backward()
+            grads.append([x.grad for x in inputs])
+        for fused, composed in zip(*grads):
+            assert np.abs(fused - composed).max() < 1e-12
 
 
 def test_decay_softmax_zero_weight_scores_cannot_move_output():
-    rng = np.random.default_rng(22)
-    for shape, decay in _attention_cases(rng):
-        raw = rng.normal(size=shape).astype(np.float32)
-        base = tc.decay_softmax(Tensor(raw), decay).data
-        dropped = np.broadcast_to(decay <= 0, shape)
-        moved = raw.copy()
-        moved[dropped] += rng.normal(0, 100, size=int(dropped.sum())).astype(np.float32)
-        assert np.array_equal(tc.decay_softmax(Tensor(moved), decay).data, base)
-        assert np.all(base[dropped] == 0.0)
+    """Moving the last step's key and value (zero weight for every earlier
+    query step) leaves those rows bit for bit as they were."""
+    rng = np.random.default_rng(23)
+    for n, s, t, d, heads, decay in _attention_cases(rng):
+        q, k, v = _attention_inputs(rng, n, s, t, d, np.float32)
+        base, weights = tc.attention(Tensor(q), Tensor(k), Tensor(v), decay, heads)
+        rows = np.broadcast_to(decay, weights.shape)[..., -1] == 0  # (N, H, S) query rows before step T-1
+        moved_k, moved_v = k.copy(), v.copy()
+        moved_k[:, -1] += rng.normal(0, 100, size=(n, d)).astype(np.float32)
+        moved_v[:, -1] += rng.normal(0, 100, size=(n, d)).astype(np.float32)
+        out = tc.attention(Tensor(q), Tensor(moved_k), Tensor(moved_v), decay, heads)[0]
+        unmoved = rows.all(axis=1)  # (N, S): no head gives the last step weight
+        assert unmoved.any() and not unmoved.all()
+        assert np.all(weights.data[..., -1][rows] == 0.0)
+        assert np.array_equal(out.data[unmoved], base.data[unmoved])
+        assert not np.array_equal(out.data[~unmoved], base.data[~unmoved])
+
+
+def test_attention_keeps_only_its_weights_counted():
+    rng = np.random.default_rng(26)
+    q, k, v = (Tensor(a, requires_grad=True) for a in _attention_inputs(rng, 3, 4, 6, 8, np.float64))
+    before = memory.live_bytes()
+    out, weights = tc.attention(q, k, v, np.ones((4, 6)), 2)
+    held = 3 * 2 * 4 * 6 * 8
+    assert weights.data.nbytes == held
+    assert memory.live_bytes() - before == out.data.nbytes + held
+    del weights  # the node still holds them, still counted
+    assert memory.live_bytes() - before == out.data.nbytes + held
+    loss = tc.sum(out)
+    loss.backward()
+    assert q.grad.shape == (3, 4, 8) and k.grad.shape == v.grad.shape == (3, 6, 8)
+    assert memory.live_bytes() - before == out.data.nbytes + held + loss.data.nbytes
+    del out, loss
+    assert memory.live_bytes() == before
+
+
+def test_attention_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError, match="attention"):
+        tc.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 6))),
+                     np.ones((3, 5)), 2)
+    with pytest.raises(ShapeError, match="attention"):  # d = 4 does not split into 3 heads
+        tc.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 4))),
+                     np.ones((3, 5)), 3)
+    with pytest.raises(ShapeError, match="attention"):
+        tc.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 4))),
+                     np.ones((5, 3)), 2)
 
 
 def _dense_edge_softmax(e: Tensor, keep: np.ndarray, slope: float) -> Tensor:
     """Reference: graph attention over every (i, j) pair, as the GAT ran it
-    before edge_softmax (transpose, add, leaky_relu, decay_softmax(keep))."""
+    before edge_softmax (transpose, add, leaky_relu, decay softmax(keep))."""
     src = tc.matmul(e, np.array([[1.0], [0.0]]))  # (T, N, 1); exact, it adds zeros
     dst = tc.transpose(tc.matmul(e, np.array([[0.0], [1.0]])), (0, 2, 1))  # (T, 1, N)
-    return tc.decay_softmax(tc.leaky_relu(src + dst, slope), keep)
+    return _decay_softmax_node(tc.leaky_relu(src + dst, slope), keep)
 
 
 def test_edge_softmax_equals_dense_composition():
