@@ -122,16 +122,10 @@ def daily_ic(pred: np.ndarray, realized: np.ndarray, method: str = "pearson") ->
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j)
-        i = j + 1
-    return ranks
+    """0-based ranks; equal values share the mean of their first and last position."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1
+    return (0.5 * (last - counts + 1 + last))[group]
 
 
 def ic_series(predictions: dict[str, dict[str, float]],
@@ -197,15 +191,7 @@ def run_strategy(predictions: dict[str, dict[str, float]],
 def max_drawdown(cumulative: np.ndarray) -> float:
     """Largest peak-to-trough decline of the cumulative curve (single pass,
     identical to the max over all index pairs i <= j of cum[i] - cum[j])."""
-    peak = -math.inf
-    mdd = 0.0
-    for c in cumulative:
-        if c > peak:
-            peak = c
-        dd = peak - c
-        if dd > mdd:
-            mdd = dd
-    return mdd
+    return float(np.max(np.maximum.accumulate(cumulative) - cumulative, initial=0.0))
 
 
 def compute_metrics(pnl: PnlSeries, trading_days_per_year: int = TRADING_DAYS_PER_YEAR,

@@ -21,17 +21,6 @@ SIZES = {
 }
 
 
-def check_model_config(size: str = "tiny") -> tuple[model.ModelConfig, int]:
-    if size not in SIZES:
-        raise ValueError(f"unknown size {size!r}; choose from {sorted(SIZES)}")
-    n, window, feats, d_model, gh, gd, blocks, th, d_a = SIZES[size]
-    cfg = model.ModelConfig(
-        n_features=feats, d_model=d_model, gat_heads=gh, gat_dim=gd,
-        tgm_blocks=blocks, tgm_heads=th, window=window, d_a=d_a,
-    )
-    return cfg, n
-
-
 def make_check_sample(cfg: model.ModelConfig, n_nodes: int, seed: int = 0,
                       r_t: float = 0.3, r_g: float = 0.3
                       ) -> tuple[augment.MaskedSample, WindowSample, CorrelationGraph]:
@@ -52,14 +41,6 @@ def make_check_sample(cfg: model.ModelConfig, n_nodes: int, seed: int = 0,
         original_values=window.panel,
     )
     return sample, window, graph
-
-
-def pretrain_loss_fn(sample: augment.MaskedSample, cfg: model.ModelConfig,
-                     train_cfg: train.TrainConfig):
-    def fn(params: ParamStore):
-        combined, _, _ = train.pretrain_sample_losses(sample, params, cfg, train_cfg)
-        return combined
-    return fn
 
 
 def finetune_loss_fn(window: WindowSample, graph: CorrelationGraph,
@@ -83,12 +64,21 @@ def run_gradient_checks(size: str = "tiny", eps: float = 1e-5, tol: float = 1e-4
     are exact structural zeros; seeds drawing entries in the 1e-8..1e-6 band
     report finite-difference rounding noise rather than gradient errors.
     """
-    cfg, n_nodes = check_model_config(size)
+    if size not in SIZES:
+        raise ValueError(f"unknown size {size!r}; choose from {sorted(SIZES)}")
+    n_nodes, steps, feats, d_model, gh, gd, blocks, th, d_a = SIZES[size]
+    cfg = model.ModelConfig(
+        n_features=feats, d_model=d_model, gat_heads=gh, gat_dim=gd,
+        tgm_blocks=blocks, tgm_heads=th, window=steps, d_a=d_a,
+    )
     sample, window, graph = make_check_sample(cfg, n_nodes, seed=seed)
     params = model.init_params(cfg, seed=seed, dtype=np.float64)
     train_cfg = train.TrainConfig(epochs=1, r_t=0.3, r_g=0.3)
-    reports = {
-        "pretrain": grad_check(pretrain_loss_fn(sample, cfg, train_cfg), params, eps=eps, tol=tol),
+
+    def pretrain_loss(p: ParamStore):
+        return train.pretrain_sample_losses(sample, p, cfg, train_cfg)[0]
+
+    return {
+        "pretrain": grad_check(pretrain_loss, params, eps=eps, tol=tol),
         "finetune": grad_check(finetune_loss_fn(window, graph, cfg), params, eps=eps, tol=tol),
     }
-    return reports

@@ -16,7 +16,6 @@ import itertools
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,13 +24,6 @@ import numpy as np
 from . import backtest, checks, config, data, graphs, train
 from .config import ConfigError
 from .tensorcore.checkpoint import atomic_write
-
-
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="append", required=True,
                    help="key=v1,v2,... (repeatable; e.g. r_t=0.1,0.3,0.5)")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, capped at the CPU count")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("config-keys", help="print the config key table")
@@ -162,9 +152,8 @@ def _split_windows(panel: data.TimePanel, values):
     """Split per split_mode, standardize with training-split stats and window
     each part; returns the (train, val, test) windows and the model config."""
     parts = _split(panel, values)
-    if values["standardize"]:
-        stats = data.feature_stats(parts[0])
-        parts = tuple(data.standardize(p, stats) for p in parts)
+    stats = data.feature_stats(parts[0])
+    parts = tuple(data.standardize(p, stats) for p in parts)
     windows = tuple(data.window_samples(p, values["window"], values["stride"]) for p in parts)
     return windows, config.to_model_config(values, panel.n_features)
 
@@ -178,6 +167,9 @@ def _prepare(args, values):
         print(f"load: dropped {len(dropped_dates)} dates missing for some node")
     graph = graphs.load_graph(args.graph, panel.node_ids)
     windows, model_cfg = _split_windows(panel, values)
+    if not windows[0] and args.command != "predict":  # scoring another split needs no training window
+        raise ConfigError(f"window={values['window']} leaves no training window: the training split "
+                          f"has {_split(panel, values)[0].n_dates} dates, needs at least {values['window'] + 1}")
     params = None
     if getattr(args, "checkpoint", None) is not None:
         try:
@@ -260,12 +252,18 @@ def cmd_predict(args, values) -> int:
 
 
 def cmd_backtest(args, values) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if values["trading_days"] < 1:
+        raise ConfigError(f"trading_days must be >= 1, got {values['trading_days']}")
+    if values["ic_method"] not in ("pearson", "rank"):
+        raise ConfigError(f"ic_method must be pearson or rank, got {values['ic_method']!r}")
     predictions = backtest.read_score_file(args.predictions, "score")
     returns = backtest.read_score_file(args.returns, "return")
     universe = {s for per in predictions.values() for s in per}
+    if not 0 <= values["top_k"] <= len(universe):
+        raise ConfigError(f"top_k must be in [0, {len(universe)}] (0 = N/10), got {values['top_k']}")
     k = values["top_k"] or max(1, len(universe) // 10)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     pnl, report = backtest.run_strategy(predictions, returns, k)
     dates, ics, skipped = backtest.ic_series(predictions, returns, method=values["ic_method"])
     mean_ic = float(np.mean(ics)) if ics else None
@@ -324,12 +322,7 @@ def cmd_sweep(args, values) -> int:
     for i, point in enumerate(points):
         label = "_".join(f"{k}={point[k]}" for k in keys)
         payloads.append((values, point, out / f"point_{i:03d}_{label}"))
-    jobs = min(args.jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
-    else:
-        rows = [_sweep_point(p) for p in payloads]
+    rows = [_sweep_point(p) for p in payloads]
     header = keys + ["pretrain_val_loss", "val_ic"]
     lines = [",".join(header)] + [",".join(str(row[h]) for h in header) for row in rows]
     with atomic_write(out / "summary.csv", encoding="utf-8") as fh:

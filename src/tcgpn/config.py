@@ -34,7 +34,6 @@ KEY_TABLE: dict[str, Key] = {k.name: k for k in [
     # windowing and splits
     Key("window", int, 30, "input steps per sample"),
     Key("stride", int, 1, "window stride in dates"),
-    Key("standardize", bool, True, "z-score features with training-split stats"),
     Key("split_mode", str, "year", "year or fraction"),
     Key("train_years", int, 10, "training years (split_mode=year)"),
     Key("val_years", int, 1, "validation years"),

@@ -103,13 +103,9 @@ def build_distance_graph(panel, k_neighbors: int) -> CorrelationGraph:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.T)
     np.clip(d2, 0.0, None, out=d2)
     dist = np.sqrt(d2)
-    np.fill_diagonal(dist, 0.0)
-
+    np.fill_diagonal(dist, np.inf)  # never a node's own neighbour; ties go to the lower index
     keep = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        order = np.argsort(dist[i], kind="stable")
-        order = order[order != i]
-        keep[i, order[:k_neighbors]] = True
+    np.put_along_axis(keep, np.argsort(dist, axis=1, kind="stable")[:, :k_neighbors], True, axis=1)
     keep |= keep.T  # union over both endpoints preserves symmetry
     sigma = dist[keep].mean()
     similarity = np.exp(-(dist / sigma) ** 2) if sigma > 0 else np.ones_like(dist)

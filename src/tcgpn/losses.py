@@ -6,7 +6,7 @@ their supervised entries, so gradients are exactly zero elsewhere.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +31,14 @@ class LossReport:
     l_pearson: float | None = None
     l_fine: float | None = None
 
-    FIELDS = ("step", "l_t", "l_g", "l_pre", "l_mse", "l_pearson", "l_fine")
-
     @classmethod
     def merge(cls, step: int, reports: list["LossReport"]) -> "LossReport":
         """One optimizer step's report from its per-sample reports: each loss
         term is averaged over the samples that computed it."""
         out = cls(step=step)
-        for name in cls.FIELDS[1:]:  # the loss terms
-            values = [getattr(r, name) for r in reports if getattr(r, name) is not None]
-            setattr(out, name, float(np.mean(values)) if values else None)
+        for f in fields(cls)[1:]:  # the loss terms
+            values = [getattr(r, f.name) for r in reports if getattr(r, f.name) is not None]
+            setattr(out, f.name, float(np.mean(values)) if values else None)
         return out
 
     @property
@@ -49,17 +47,13 @@ class LossReport:
         return self.l_fine if self.l_pre is None else self.l_pre
 
     def row(self) -> list[str]:
-        out = []
-        for name in self.FIELDS:
-            v = getattr(self, name)
-            out.append("" if v is None else (str(v) if name == "step" else f"{v:.8g}"))
-        return out
+        return [str(self.step)] + ["" if v is None else f"{v:.8g}" for v in astuple(self)[1:]]
 
 
 def write_loss_log(path: str | Path, reports: list[LossReport]) -> None:
     with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(LossReport.FIELDS)
+        writer.writerow(f.name for f in fields(LossReport))
         writer.writerows(r.row() for r in reports)
 
 

@@ -281,7 +281,7 @@ def _sweep_summary(out, bad):
             2: {"seed": 2, "pretrain_val_loss": 0.4, "val_ic": "\ud800" if bad else 0.2}}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_sweep_point", lambda payload: rows[payload[1]["seed"]])
-        cli.cmd_sweep(argparse.Namespace(grid=["seed=1,2"], out=str(out), jobs=1), config.defaults())
+        cli.cmd_sweep(argparse.Namespace(grid=["seed=1,2"], out=str(out)), config.defaults())
     return out / "summary.csv"
 
 

@@ -129,7 +129,7 @@ def test_checkpoint_config_mismatch_rejected(pipeline, pretrained, capsys):
                                  ["--d_model", "8", "--tgm_heads", "3"],
                                  ["--n_sub", "1"], ["--n_sub", "-5"],
                                  ["--epochs", "0", "--finetune_epochs", "0"], ["--lr", "0"],
-                                 ["--beta", "-1"]])
+                                 ["--beta", "-1"], ["--window", "100"]])
 def test_bad_training_value_exits_3_without_run_dir(pipeline, tmp_path, capsys, bad):
     root, synth = pipeline
     inputs = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]
@@ -163,37 +163,3 @@ def test_sweep_honours_split_mode(tmp_path, capsys):
                      "--synth_length", "400"] + TINY + ["--split_mode", "year"])
     assert code == 1
     assert "panel spans 2 calendar years, need 12" in capsys.readouterr().err
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
-
-    max_workers = []
-
-    def __init__(self, max_workers):
-        RecordingPool.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_sweep_jobs_capped_at_cpu_count(tmp_path, monkeypatch):
-    from tcgpn import cli
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(cli, "_sweep_point", lambda payload: dict(
-        payload[1], pretrain_val_loss=0.0, val_ic=0.0))
-    RecordingPool.max_workers = []
-    assert dispatch(["sweep", "--grid", "r_t=0.1,0.2", "--out", str(tmp_path / "a"),
-                     "--jobs", "64"]) == 0
-    assert dispatch(["sweep", "--grid", "r_t=0.1,0.2", "--out", str(tmp_path / "b"),
-                     "--jobs", "2"]) == 0
-    assert RecordingPool.max_workers == [3, 2]
-    assert dispatch(["sweep", "--grid", "r_t=0.1", "--out", str(tmp_path / "c"),
-                     "--jobs", "0"]) == 2

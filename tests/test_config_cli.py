@@ -27,10 +27,10 @@ def test_defaults_mirror_published_settings():
 
 def test_config_file_and_overrides(tmp_path):
     f = tmp_path / "c.txt"
-    f.write_text("# comment\nr_t = 0.5\nepochs = 7\nstandardize = false\n")
+    f.write_text("# comment\nr_t = 0.5\nepochs = 7\nuse_graph_loss = false\n")
     values = config.resolve(f, ["--lr", "0.01", "--use_gat=false"])
     assert values["r_t"] == 0.5 and values["epochs"] == 7
-    assert values["standardize"] is False
+    assert values["use_graph_loss"] is False and values["use_temporal_loss"] is True
     assert values["lr"] == 0.01 and values["use_gat"] is False
 
 
@@ -99,10 +99,35 @@ def test_cli_config_errors_exit_3(tmp_path, capsys):
     out = tmp_path / "d"
     for bad in (["--not_a_key", "1"], ["--synth_lag", "0"], ["--span_mode", "shared"],
                 ["--mask_mode", "node"], ["--alternate_tasks", "true"],
-                ["--freeze_encoder", "false"]):
+                ["--freeze_encoder", "false"], ["--jobs", "2"], ["--standardize", "false"]):
         assert dispatch(["synth-data", "--out", str(out)] + bad) == 3, bad
         assert not out.exists()
     assert "ValueError" not in capsys.readouterr().err
+
+
+def _backtest(tmp_path, extra):
+    """Run `backtest` on 3 dates x 20 names; returns the exit code and the --out path."""
+    rows = "".join(f"2021-01-0{d},S{i},{(i * d) % 7 - 3.0}\n" for d in range(1, 4) for i in range(20))
+    (tmp_path / "p.csv").write_text("date,symbol,score\n" + rows)
+    (tmp_path / "r.csv").write_text("date,symbol,return\n" + rows)
+    out = tmp_path / "bt"
+    return dispatch(["backtest", "--predictions", str(tmp_path / "p.csv"),
+                     "--returns", str(tmp_path / "r.csv"), "--out", str(out)] + extra), out
+
+
+@pytest.mark.parametrize("bad", [["--top_k", "-1"], ["--top_k", "21"], ["--top_k", "500"],
+                                 ["--trading_days", "0"], ["--trading_days", "-1"],
+                                 ["--ic_method", "spearman"]])
+def test_backtest_bad_value_exits_3_without_out_dir(tmp_path, capsys, bad):
+    code, out = _backtest(tmp_path, bad)
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith(f"error: {bad[0][2:]} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_backtest_top_k_may_hold_the_whole_universe(tmp_path):
+    code, out = _backtest(tmp_path, ["--top_k", "20", "--trading_days", "1"])
+    assert code == 0 and (out / "metrics.csv").exists()
 
 
 def test_cli_synth_and_build_graph(tmp_path, capsys):

@@ -106,6 +106,21 @@ def test_distance_knn_union_against_bruteforce():
     assert np.array_equal(g.weights, g.weights.T)
 
 
+def test_distance_knn_ties_keep_the_lower_index():
+    # integer series make many exactly equal distances; each row keeps its k
+    # nearest by (distance, index), never itself
+    rng = np.random.default_rng(8)
+    for n, k in [(6, 1), (9, 3), (12, 5), (20, 19)]:
+        feats = rng.integers(0, 2, size=(n, 3, 2)).astype(float)
+        g = build_distance_graph(FakePanel(feats), k_neighbors=k)
+        flat = feats.reshape(n, -1)
+        d2 = ((flat[:, None] - flat[None]) ** 2).sum(-1)
+        keep = np.zeros((n, n), bool)
+        for i in range(n):
+            keep[i, [j for _, j in sorted((d2[i, j], j) for j in range(n) if j != i)[:k]]] = True
+        assert np.array_equal(g.weights != 0, keep | keep.T)
+
+
 def test_distance_symmetry_and_zero_diag_property():
     for seed in range(5):
         rng = np.random.default_rng(seed)
