@@ -25,6 +25,8 @@ from . import backtest, checks, config, data, graphs, train
 from .config import ConfigError
 from .tensorcore.checkpoint import atomic_write
 
+SPLITS = ("train", "val", "test")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -140,41 +142,53 @@ def _hash_inputs(run_dir: Path, paths: list[str | Path]) -> None:
 
 
 def _split(panel: data.TimePanel, values):
-    """The (train, val, test) date split that split_mode selects."""
-    if values["split_mode"] == "year":
-        return data.split_by_year(panel, values["train_years"], values["val_years"], values["test_years"])
-    if values["split_mode"] == "fraction":
-        return data.split_by_fraction(panel, values["train_frac"], values["val_frac"])
-    raise ConfigError(f"unknown split_mode: {values['split_mode']}")
+    """The (train, val, test) date split that split_mode selects; a split the
+    config cannot make is a ConfigError."""
+    mode = values["split_mode"]
+    try:
+        if mode == "year":
+            return data.split_by_year(panel, values["train_years"], values["val_years"], values["test_years"])
+        if mode == "fraction":
+            return data.split_by_fraction(panel, values["train_frac"], values["val_frac"])
+    except ValueError as e:
+        raise ConfigError(f"split_mode={mode}: {e}") from None
+    raise ConfigError(f"unknown split_mode: {mode}")
 
 
-def _split_windows(panel: data.TimePanel, values):
+def _windows(panel: data.TimePanel, values, split: str = "train"):
     """Split per split_mode, standardize with training-split stats and window
-    each part; returns the (train, val, test) windows and the model config."""
+    each part; returns the (train, val, test) windows and the model config.
+    The split a command reads (`all`: any of them) must hold a window."""
     parts = _split(panel, values)
     stats = data.feature_stats(parts[0])
     parts = tuple(data.standardize(p, stats) for p in parts)
-    windows = tuple(data.window_samples(p, values["window"], values["stride"]) for p in parts)
+    window = values["window"]
+    try:
+        windows = tuple(data.window_samples(p, window, values["stride"]) for p in parts)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    read = range(3) if split == "all" else [SPLITS.index(split)]
+    if not any(windows[i] for i in read):
+        name = "longest" if split == "all" else split
+        raise ConfigError(f"window={window} leaves no window to read: it needs {window + 1} dates "
+                          f"and the {name} split has {max(parts[i].n_dates for i in read)}")
     return windows, config.to_model_config(values, panel.n_features)
 
 
-def _prepare(args, values):
-    """Load panel + graph, then split, standardize and window per the config.
-    With a --checkpoint, load its parameters too (None otherwise); its saved
-    model config must equal the config's, and predict needs a fine-tuned one."""
+def _prepare(args, values, split: str = "train", phase: str | None = None):
+    """Load panel + graph and window them for the split the command reads
+    (`_windows`). With a --checkpoint, load its parameters too (None
+    otherwise): its saved model config must equal the config's, and a given
+    phase must be the checkpoint's."""
     panel, dropped_dates = data.load_panel(args.data)
     if dropped_dates:
         print(f"load: dropped {len(dropped_dates)} dates missing for some node")
     graph = graphs.load_graph(args.graph, panel.node_ids)
-    windows, model_cfg = _split_windows(panel, values)
-    if not windows[0] and args.command != "predict":  # scoring another split needs no training window
-        raise ConfigError(f"window={values['window']} leaves no training window: the training split "
-                          f"has {_split(panel, values)[0].n_dates} dates, needs at least {values['window'] + 1}")
+    windows, model_cfg = _windows(panel, values, split)
     params = None
     if getattr(args, "checkpoint", None) is not None:
         try:
-            params, model_cfg = train.load_pretrained(
-                args.checkpoint, model_cfg, phase="finetune" if args.command == "predict" else None)
+            params, model_cfg = train.load_pretrained(args.checkpoint, model_cfg, phase)
         except ValueError as e:
             raise ConfigError(str(e)) from None
     return windows, graph, model_cfg, params
@@ -198,7 +212,9 @@ def cmd_synth_data(args, values) -> int:
 
 def cmd_build_graph(args, values) -> int:
     panel, _ = data.load_panel(args.data)
-    if args.kind == "distance":  # from the training dates only, so no later co-movement leaks in
+    if args.kind == "distance":  # from the raw training dates only, so no later co-movement leaks in
+        if not 0 < values["knn_k"] < panel.n_nodes:
+            raise ConfigError(f"knn_k must be in [1, {panel.n_nodes - 1}], got {values['knn_k']}")
         graph = graphs.build_distance_graph(_split(panel, values)[0], values["knn_k"])
     else:
         if not args.meta:
@@ -240,11 +256,11 @@ def cmd_finetune(args, values) -> int:
 
 
 def cmd_predict(args, values) -> int:
-    windows, graph, model_cfg, params = _prepare(args, values)
+    windows, graph, model_cfg, params = _prepare(args, values, args.split, phase="finetune")
     if args.split == "all":
         chosen = [w for ws in windows for w in ws]
     else:
-        chosen = windows[("train", "val", "test").index(args.split)]
+        chosen = windows[SPLITS.index(args.split)]
     rows = train.predict(params, model_cfg, chosen, graph)
     train.write_predictions(args.out, rows)
     print(f"wrote {sum(len(r[1]) for r in rows)} scores over {len(rows)} dates to {args.out}")
@@ -291,14 +307,12 @@ def cmd_gradcheck(args, values) -> int:
     return 0 if ok else 1
 
 
-def _sweep_point(payload) -> dict:
-    values, point, out_dir = payload
+def _sweep_point(values, point: dict, run_dir: Path) -> dict:
     merged = {**values, **point}
     panel, graph = data.gen_synthetic(config.to_synthetic_spec(merged))
-    windows, model_cfg = _split_windows(panel, merged)
+    windows, model_cfg = _windows(panel, merged)
     pre_cfg = config.to_train_config(merged, "pretrain")
     fine_cfg = config.to_train_config(merged, "finetune")
-    run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     config.dump(merged, run_dir / "config.txt")
     pre = train.pretrain(windows[0], windows[1], graph, model_cfg, pre_cfg, run_dir=run_dir)
@@ -315,14 +329,12 @@ def cmd_sweep(args, values) -> int:
         key, raw = item.split("=", 1)
         grids[key] = [config._parse_value(key, v) for v in raw.split(",")]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     keys = sorted(grids)
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grids[k] for k in keys))]
-    payloads = []
+    rows = []
     for i, point in enumerate(points):
         label = "_".join(f"{k}={point[k]}" for k in keys)
-        payloads.append((values, point, out / f"point_{i:03d}_{label}"))
-    rows = [_sweep_point(p) for p in payloads]
+        rows.append(_sweep_point(values, point, out / f"point_{i:03d}_{label}"))
     header = keys + ["pretrain_val_loss", "val_ic"]
     lines = [",".join(header)] + [",".join(str(row[h]) for h in header) for row in rows]
     with atomic_write(out / "summary.csv", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date as _date
 from pathlib import Path
 
@@ -58,13 +58,8 @@ class TimePanel:
         return self.features.shape[2]
 
     def slice_dates(self, start: int, stop: int) -> "TimePanel":
-        return TimePanel(
-            node_ids=list(self.node_ids),
-            dates=self.dates[start:stop],
-            features=self.features[:, start:stop, :].copy(),
-            targets=self.targets[:, start:stop].copy(),
-            feature_names=list(self.feature_names),
-        )
+        return replace(self, dates=self.dates[start:stop], features=self.features[:, start:stop, :].copy(),
+                       targets=self.targets[:, start:stop].copy())
 
 
 @dataclass
@@ -168,8 +163,8 @@ def load_panel(path: str | Path) -> tuple[TimePanel, list[str]]:
 def window_samples(panel: TimePanel, window: int, stride: int = 1) -> list[WindowSample]:
     """Slice the panel into samples of `window` steps whose target is the
     next date's label. Returns [] with no valid window."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    if window < 1 or stride < 1:
+        raise ValueError(f"window and stride must be >= 1, got {window} and {stride}")
     d = panel.n_dates
     if window > d - 1:
         return []
@@ -189,6 +184,9 @@ def split_by_year(panel: TimePanel, train_years: int = 10, val_years: int = 1,
                   test_years: int = 1) -> tuple[TimePanel, TimePanel, TimePanel]:
     """Contiguous chronological split over the panel's most recent calendar
     years; windows built per split never straddle a boundary."""
+    if min(train_years, val_years, test_years) < 1:
+        raise ValueError(f"train_years, val_years and test_years must be >= 1, "
+                         f"got {train_years}, {val_years} and {test_years}")
     years = sorted({d[:4] for d in panel.dates})
     need = train_years + val_years + test_years
     if len(years) < need:
@@ -208,7 +206,8 @@ def split_by_fraction(panel: TimePanel, train_frac: float = 0.7,
     """Chronological split by date counts; handy for synthetic panels that
     span less than a full year."""
     if not (0 < train_frac < 1 and 0 < val_frac < 1 and train_frac + val_frac < 1):
-        raise ValueError("fractions must be positive and sum below 1")
+        raise ValueError(f"train_frac and val_frac must be positive and sum below 1, "
+                         f"got {train_frac} and {val_frac}")
     d = panel.n_dates
     a = int(round(d * train_frac))
     b = int(round(d * (train_frac + val_frac)))
@@ -251,13 +250,7 @@ def feature_stats(panel: TimePanel) -> tuple[np.ndarray, np.ndarray]:
 
 def standardize(panel: TimePanel, stats: tuple[np.ndarray, np.ndarray]) -> TimePanel:
     mu, sd = stats
-    return TimePanel(
-        node_ids=list(panel.node_ids),
-        dates=list(panel.dates),
-        features=(panel.features - mu) / sd,
-        targets=panel.targets.copy(),
-        feature_names=list(panel.feature_names),
-    )
+    return replace(panel, features=(panel.features - mu) / sd)
 
 
 # synthetic benchmark ----------------------------------------------------------

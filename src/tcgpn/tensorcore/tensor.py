@@ -198,56 +198,35 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
 # binary arithmetic ---------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
+def _binary(op: str, ufunc, a, b, grad_a, grad_b) -> Tensor:
+    """Broadcasting ufunc(a, b); grad_a and grad_b map (g, a, b) arrays to
+    each operand's local gradient before it is reduced to that operand's shape."""
     a = _coerce(a)
     b = _coerce(b, like=a)
     try:
-        data = a.data + b.data
+        data = ufunc(a.data, b.data)
     except ValueError as e:
-        raise ShapeError("add", str(e)) from None
+        raise ShapeError(op, str(e)) from None
     return _result(data, (a, b), (
-        lambda g: _unbroadcast(g, a.data.shape),
-        lambda g: _unbroadcast(g, b.data.shape),
+        lambda g: _unbroadcast(grad_a(g, a.data, b.data), a.data.shape),
+        lambda g: _unbroadcast(grad_b(g, a.data, b.data), b.data.shape),
     ))
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", np.add, a, b, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a = _coerce(a)
-    b = _coerce(b, like=a)
-    try:
-        data = a.data - b.data
-    except ValueError as e:
-        raise ShapeError("sub", str(e)) from None
-    return _result(data, (a, b), (
-        lambda g: _unbroadcast(g, a.data.shape),
-        lambda g: _unbroadcast(-g, b.data.shape),
-    ))
+    return _binary("sub", np.subtract, a, b, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a = _coerce(a)
-    b = _coerce(b, like=a)
-    try:
-        data = a.data * b.data
-    except ValueError as e:
-        raise ShapeError("mul", str(e)) from None
-    return _result(data, (a, b), (
-        lambda g: _unbroadcast(g * b.data, a.data.shape),
-        lambda g: _unbroadcast(g * a.data, b.data.shape),
-    ))
+    return _binary("mul", np.multiply, a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    a = _coerce(a)
-    b = _coerce(b, like=a)
-    try:
-        data = a.data / b.data
-    except ValueError as e:
-        raise ShapeError("div", str(e)) from None
-    return _result(data, (a, b), (
-        lambda g: _unbroadcast(g / b.data, a.data.shape),
-        lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-    ))
+    return _binary("div", np.divide, a, b, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def matmul(a, b) -> Tensor:

@@ -129,7 +129,9 @@ def test_checkpoint_config_mismatch_rejected(pipeline, pretrained, capsys):
                                  ["--d_model", "8", "--tgm_heads", "3"],
                                  ["--n_sub", "1"], ["--n_sub", "-5"],
                                  ["--epochs", "0", "--finetune_epochs", "0"], ["--lr", "0"],
-                                 ["--beta", "-1"], ["--window", "100"]])
+                                 ["--beta", "-1"], ["--window", "100"], ["--window", "0"],
+                                 ["--stride", "0"], ["--train_frac", "1.5"], ["--split_mode", "year"],
+                                 ["--split_mode", "year", "--train_years", "0"]])
 def test_bad_training_value_exits_3_without_run_dir(pipeline, tmp_path, capsys, bad):
     root, synth = pipeline
     inputs = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]
@@ -138,6 +140,18 @@ def test_bad_training_value_exits_3_without_run_dir(pipeline, tmp_path, capsys, 
         assert dispatch(command + inputs + ["--out", str(out)] + TINY + bad) == 3
         assert not out.exists()
     assert "ValueError" not in capsys.readouterr().err
+
+
+def test_predict_on_a_split_without_a_window_exits_3_without_out_file(pipeline, tmp_path, capsys):
+    # the 14-date test split holds no 14-step window; the training split does
+    root, synth = pipeline
+    out = tmp_path / "p.csv"
+    assert dispatch(["predict", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                     "--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt"),
+                     "--split", "test", "--out", str(out)] + TINY + ["--window", "14"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "window=14" in err and "test split has 14" in err
+    assert not out.exists()
 
 
 def test_sweep_grid(pipeline):
@@ -161,5 +175,13 @@ def test_sweep_honours_split_mode(tmp_path, capsys):
     # a 400-date synthetic panel spans 2 calendar years; the year split needs 12
     code = dispatch(["sweep", "--grid", "r_t=0.2", "--out", str(tmp_path / "sweep"),
                      "--synth_length", "400"] + TINY + ["--split_mode", "year"])
-    assert code == 1
+    assert code == 3
     assert "panel spans 2 calendar years, need 12" in capsys.readouterr().err
+
+
+def test_sweep_without_a_training_window_exits_3_without_point_dir(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = dispatch(["sweep", "--grid", "r_t=0.2", "--out", str(out), "--synth_length", "120"]
+                    + TINY + ["--window", "100"])
+    assert code == 3 and "window=100" in capsys.readouterr().err
+    assert not out.exists()

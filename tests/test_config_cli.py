@@ -154,6 +154,19 @@ def test_cli_synth_and_build_graph(tmp_path, capsys):
     assert not np.array_equal(written.weights, build_distance_graph(panel, 2).weights)
 
 
+@pytest.mark.parametrize("k", ["0", "500"])
+def test_cli_build_graph_knn_k_out_of_range_exits_3(tmp_path, capsys, k):
+    out = tmp_path / "synth"
+    dispatch(["synth-data", "--out", str(out), "--synth_length", "40",
+              "--synth_clusters", "2", "--synth_nodes_per_cluster", "3"])
+    graph = tmp_path / "dist.txt"
+    assert dispatch(["build-graph", "--data", str(out / "panel.csv"), "--kind", "distance",
+                     "--out", str(graph), "--knn_k", k, "--split_mode", "fraction"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: knn_k must be in [1, 5]") and err.count("\n") == 1
+    assert not graph.exists()
+
+
 def test_cli_build_industry_graph(tmp_path):
     out = tmp_path / "synth"
     dispatch(["synth-data", "--out", str(out), "--synth_length", "30",

@@ -115,6 +115,12 @@ def test_window_counts():
     assert window_samples(make_panel(d=30), 30, 1) == []
 
 
+@pytest.mark.parametrize("window, stride", [(0, 1), (-3, 1), (10, 0)])
+def test_window_and_stride_below_one_rejected(window, stride):
+    with pytest.raises(ValueError, match="window and stride must be >= 1"):
+        window_samples(make_panel(d=40), window, stride)
+
+
 def test_last_window_target_is_final_date():
     panel = make_panel(d=40)
     windows = window_samples(panel, 30, 1)
