@@ -307,12 +307,18 @@ def cmd_gradcheck(args, values) -> int:
     return 0 if ok else 1
 
 
-def _sweep_point(values, point: dict, run_dir: Path) -> dict:
+def _sweep_prepare(values, point: dict):
+    """One grid point's merged config, synthetic data, windows and train
+    configs; a value the point cannot run with is a ConfigError."""
     merged = {**values, **point}
     panel, graph = data.gen_synthetic(config.to_synthetic_spec(merged))
     windows, model_cfg = _windows(panel, merged)
-    pre_cfg = config.to_train_config(merged, "pretrain")
-    fine_cfg = config.to_train_config(merged, "finetune")
+    return (merged, windows, graph, model_cfg, config.to_train_config(merged, "pretrain"),
+            config.to_train_config(merged, "finetune"))
+
+
+def _sweep_point(prepared, point: dict, run_dir: Path) -> dict:
+    merged, windows, graph, model_cfg, pre_cfg, fine_cfg = prepared
     run_dir.mkdir(parents=True, exist_ok=True)
     config.dump(merged, run_dir / "config.txt")
     pre = train.pretrain(windows[0], windows[1], graph, model_cfg, pre_cfg, run_dir=run_dir)
@@ -331,10 +337,11 @@ def cmd_sweep(args, values) -> int:
     out = Path(args.out)
     keys = sorted(grids)
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grids[k] for k in keys))]
+    prepared = [_sweep_prepare(values, point) for point in points]  # a bad point exits 3 before any trains
     rows = []
     for i, point in enumerate(points):
         label = "_".join(f"{k}={point[k]}" for k in keys)
-        rows.append(_sweep_point(values, point, out / f"point_{i:03d}_{label}"))
+        rows.append(_sweep_point(prepared[i], point, out / f"point_{i:03d}_{label}"))
     header = keys + ["pretrain_val_loss", "val_ic"]
     lines = [",".join(header)] + [",".join(str(row[h]) for h in header) for row in rows]
     with atomic_write(out / "summary.csv", encoding="utf-8") as fh:

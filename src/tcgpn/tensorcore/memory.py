@@ -1,6 +1,10 @@
 """Live-tensor byte accounting with a high-water mark.
 
-Counts logical bytes of every Tensor buffer currently alive. Used to verify
+Counts logical bytes of every Tensor buffer currently alive: a Tensor adds
+its bytes when it is made and takes them off when it is freed. A buffer
+lives while the caller or a vjp of the backward graph holds its Tensor; the
+graph keeps a Tensor only if some vjp reads its data, and never keeps a bare
+view of a buffer, so what the graph keeps is counted too. Used to verify
 that node sub-sampling actually bounds the training footprint.
 """
 

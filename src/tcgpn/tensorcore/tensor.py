@@ -10,6 +10,18 @@ mask), sum, mean and masked_select.
 Every primitive has an exact vector-Jacobian product, so any composition of
 them has exact gradients; the finite-difference checker in gradcheck.py
 verifies this.
+
+The backward graph is made of nodes, not of tensors. A result with an input
+that needs a gradient gets a `_Node` holding, per such input, that input's
+node (a leaf tensor is its own node) and the vjp that maps the result's
+gradient to it; any other result, and every result made under no_grad, gets
+no node. A vjp keeps only what it reads: a shape, a dtype or a mask, or the
+input Tensors whose data its formula uses. So a Tensor's buffer lives while
+the caller or some vjp holds that Tensor, and no longer: the output of a
+layer that only feeds a residual add, or a pre-activation that `relu`
+reduces to its mask, is freed once the caller drops it. No vjp holds its own
+output or a bare view of a Tensor's buffer, so every live buffer stays
+counted in memory.py and is freed without the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -47,14 +59,29 @@ class no_grad:
         return False
 
 
+class _Node:
+    """The backward edges of one result: (input node, vjp) pairs for the
+    inputs that need a gradient, and the result's gradient while backward()
+    runs. It holds no result data."""
+
+    __slots__ = ("_edges", "grad")
+
+    def __init__(self, edges):
+        self._edges = edges
+        self.grad = None
+
+
 class Tensor:
-    """A dense real tensor plus the backward edges that produced it.
+    """A dense real tensor and, if it was computed with a gradient, its node.
 
     Values are immutable once they participate in a computation; backward()
-    walks the graph once and accumulates gradients in a deterministic order.
+    walks the nodes once and accumulates gradients in a deterministic order.
+    A leaf (requires_grad, not computed) is its own node: its gradient adds
+    into `.grad`. A computed tensor's `.grad` stays None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_nbytes")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_nbytes")
+    _edges = ()  # a leaf, as a node, has no inputs
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -63,8 +90,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple[Callable[[np.ndarray], np.ndarray], ...] = ()
+        self._node: _Node | None = None
         memory.note_alloc(arr.nbytes)
         self._nbytes = arr.nbytes
 
@@ -111,16 +137,16 @@ class Tensor:
     # backward -------------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar. Adds into .grad on every leaf (a
-        requires_grad tensor with no parents) reachable from this node.
-        Intermediate gradients are released as soon as they have been
-        propagated, so they are None afterwards and a second call adds the
-        same gradients onto the leaves again."""
+        """Backpropagate from a scalar. Adds into .grad on every leaf
+        reachable from this tensor. Intermediate gradients are released as
+        soon as they have been propagated, and the graph is kept, so a second
+        call adds the same gradients onto the leaves again."""
         if self.data.size != 1:
             raise ShapeError("backward", f"loss must be scalar, got shape {self.data.shape}")
-        topo: list[Tensor] = []
+        root = self._node or self
+        topo: list[_Node | Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
@@ -130,38 +156,38 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
+            for p, _ in node._edges:
+                if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(topo):
             g = node.grad
             if g is None:
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):
-                if not parent.requires_grad:
-                    continue
+            for parent, vjp in node._edges:
                 contrib = vjp(g)
                 if parent.grad is None:
                     parent.grad = contrib
                 else:
                     parent.grad = parent.grad + contrib
-            if node._parents:
+            if node._edges:
                 node.grad = None
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], vjps: Sequence[Callable]) -> Tensor:
+    """Wrap a primitive's output. Under grad mode, the inputs that need a
+    gradient get an edge with their vjp; the other vjps are dropped, and with
+    them whatever they held."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjps = tuple(vjps)
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._vjps = ()
+    out._node = None
+    out.requires_grad = False
+    if _grad_enabled:
+        edges = tuple([(p._node or p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad])
+        if edges:
+            out.requires_grad = True
+            out._node = _Node(edges)
     memory.note_alloc(data.nbytes)
     out._nbytes = data.nbytes
     return out
@@ -198,42 +224,48 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
 # binary arithmetic ---------------------------------------------------------
 
 
-def _binary(op: str, ufunc, a, b, grad_a, grad_b) -> Tensor:
-    """Broadcasting ufunc(a, b); grad_a and grad_b map (g, a, b) arrays to
-    each operand's local gradient before it is reduced to that operand's shape."""
+def _operands(a, b) -> tuple[Tensor, Tensor]:
     a = _coerce(a)
-    b = _coerce(b, like=a)
+    return a, _coerce(b, like=a)
+
+
+def _binary(op: str, ufunc, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """Broadcasting ufunc(a, b); grad_a and grad_b map the result's gradient
+    to each operand's local gradient, before it is reduced to that operand's
+    shape. Each closes over only the operands it reads."""
     try:
         data = ufunc(a.data, b.data)
     except ValueError as e:
         raise ShapeError(op, str(e)) from None
-    return _result(data, (a, b), (
-        lambda g: _unbroadcast(grad_a(g, a.data, b.data), a.data.shape),
-        lambda g: _unbroadcast(grad_b(g, a.data, b.data), b.data.shape),
-    ))
+    shape_a, shape_b = a.data.shape, b.data.shape
+    return _result(data, (a, b), (lambda g: _unbroadcast(grad_a(g), shape_a),
+                                  lambda g: _unbroadcast(grad_b(g), shape_b)))
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", np.add, a, b, lambda g, x, y: g, lambda g, x, y: g)
+    a, b = _operands(a, b)
+    return _binary("add", np.add, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", np.subtract, a, b, lambda g, x, y: g, lambda g, x, y: -g)
+    a, b = _operands(a, b)
+    return _binary("sub", np.subtract, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary("mul", np.multiply, a, b, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    a, b = _operands(a, b)
+    return _binary("mul", np.multiply, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
-    return _binary("div", np.divide, a, b, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+    a, b = _operands(a, b)
+    return _binary("div", np.divide, a, b, lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data))
 
 
 def matmul(a, b) -> Tensor:
     """Matrix product with stacked (batched) leading dimensions. A stacked `a`
     times one matrix `b` is `linear(a, b)`, one GEMM forward and backward."""
-    a = _coerce(a)
-    b = _coerce(b, like=a)
+    a, b = _operands(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul", f"operands need ndim >= 2, got {a.data.shape} @ {b.data.shape}")
     if b.data.ndim == 2 and a.data.ndim > 2:
@@ -242,27 +274,22 @@ def matmul(a, b) -> Tensor:
         data = a.data @ b.data
     except ValueError as e:
         raise ShapeError("matmul", str(e)) from None
-
-    def grad_a(g):
-        return _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-
-    def grad_b(g):
-        return _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
-
-    return _result(data, (a, b), (grad_a, grad_b))
+    shape_a, shape_b = a.data.shape, b.data.shape
+    return _result(data, (a, b), (lambda g: _unbroadcast(g @ b.data.swapaxes(-1, -2), shape_a),
+                                  lambda g: _unbroadcast(a.data.swapaxes(-1, -2) @ g, shape_b)))
 
 
 def linear(x, w, b=None) -> Tensor:
     """x @ w + b, bit-identically, for a stacked x (..., d), one (d, k) matrix
     and an optional (k,) bias: one (rows, d) @ (d, k) GEMM with the bias
     added in place. w's gradient copies a non-contiguous x, not kept alive."""
-    x = _coerce(x)
-    w = _coerce(w, like=x)
+    x, w = _operands(x, w)
     if x.data.ndim < 1 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError("linear", f"need (..., d) @ (d, k), got {x.data.shape} @ {w.data.shape}")
     d, k = w.data.shape
+    shape = x.data.shape
     out = x.data.reshape(-1, d) @ w.data
-    parents, vjps = (x, w), (lambda g: (g.reshape(-1, k) @ w.data.T).reshape(x.data.shape),
+    parents, vjps = (x, w), (lambda g: (g.reshape(-1, k) @ w.data.T).reshape(shape),
                              lambda g: x.data.reshape(-1, d).T @ g.reshape(-1, k))
     if b is not None:
         b = _coerce(b, like=x)
@@ -270,7 +297,7 @@ def linear(x, w, b=None) -> Tensor:
             raise ShapeError("linear", f"bias shape {b.data.shape} != ({k},)")
         out += b.data
         parents, vjps = parents + (b,), vjps + (lambda g: g.reshape(-1, k).sum(axis=0),)
-    return _result(out.reshape(x.data.shape[:-1] + (k,)), parents, vjps)
+    return _result(out.reshape(shape[:-1] + (k,)), parents, vjps)
 
 
 # shape manipulation --------------------------------------------------------
@@ -288,7 +315,8 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
         data = a.data.reshape(shape)
     except ValueError as e:
         raise ShapeError("reshape", str(e)) from None
-    return _result(data, (a,), (lambda g: g.reshape(a.data.shape),))
+    old = a.data.shape
+    return _result(data, (a,), (lambda g: g.reshape(old),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -320,8 +348,8 @@ def normalize(a, eps: float, gamma=None, beta=None) -> Tensor:
     """y = (a - mean) / sqrt(var + eps) over the last axis, with the population
     variance, then `* gamma + beta` in place if given: a layer norm,
     bit-identical to that composition. The backward is the closed form
-    (g' - mean(g') - y mean(g' y)) / std with g' = g * gamma. No (..., d)
-    array is kept besides the output: y is recomputed from the input."""
+    (g' - mean(g') - y mean(g' y)) / std with g' = g * gamma. The vjps keep
+    the input Tensor and the row statistics, and recompute y from them."""
     a = _coerce(a)
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
@@ -336,7 +364,7 @@ def normalize(a, eps: float, gamma=None, beta=None) -> Tensor:
     held = []  # y recomputed by the input's vjp, handed on to gamma's
 
     def rows():
-        return out if gamma is None else held.pop() if held else (x - mu) / std
+        return held.pop() if held else (a.data - mu) / std
 
     def grad_a(g):
         y = rows()
@@ -376,11 +404,11 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
     gradient. Each row needs one positive weight, or it comes out NaN.
 
     Returns the merged output and the (N, heads, S, T) weights, a constant
-    tensor and the only array the node keeps for backward. The scores
-    gradient is computed once, for the q and k vjps. The arithmetic is that
-    of the head-split, matmul, scale, softmax, matmul and merge composition,
-    on the same view layouts and in the same order, so results are bitwise
-    equal to it.
+    tensor. The vjps keep q, k, v and the weights, the only array computed
+    here that backward reads. The scores gradient is computed once, for the
+    q and k vjps. The arithmetic is that of the head-split, matmul, scale,
+    softmax, matmul and merge composition, on the same view layouts and in
+    the same order, so results are bitwise equal to it.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if (q.data.ndim != 3 or k.data.shape != v.data.shape or k.data.shape[::2] != q.data.shape[::2]
@@ -399,9 +427,8 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
     def merge(a, rows):  # (N, H, rows, dk) -> (N, rows, d) copy
         return a.transpose(0, 2, 1, 3).reshape(n, rows, d)
 
-    q4, k4, v4 = split(q.data, s), split(k.data, t), split(v.data, t)
     decay = np.asarray(decay)
-    scores = q4 @ k4.transpose(0, 1, 3, 2)
+    scores = split(q.data, s) @ split(k.data, t).transpose(0, 1, 3, 2)
     scores *= scale
     try:
         y = np.where(decay > 0, scores, dtype.type(-np.inf))
@@ -414,14 +441,14 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
     np.exp(y, out=y)
     y *= decay.astype(dtype)
     y /= y.sum(axis=-1, keepdims=True)
-    out = merge(y @ v4, s)
+    out = merge(y @ split(v.data, t), s)
     weights = Tensor(y)  # the vjps read y through `weights`, which keeps it counted
     held = []  # the scores gradient, from the q vjp to the k vjp
 
     def scores_grad(g):
         if held:
             return held.pop()
-        ds = split(g, s) @ v4.swapaxes(-1, -2)
+        ds = split(g, s) @ split(v.data, t).swapaxes(-1, -2)
         ds -= (ds * weights.data).sum(axis=-1, keepdims=True)
         ds *= weights.data
         ds *= scale
@@ -431,10 +458,10 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
         ds = scores_grad(g)
         if k.requires_grad:
             held.append(ds)
-        return merge(ds @ k4, s)
+        return merge(ds @ split(k.data, t), s)
 
     def grad_k(g):
-        return merge(np.transpose(q4.swapaxes(-1, -2) @ scores_grad(g), (0, 1, 3, 2)), t)
+        return merge(np.transpose(split(q.data, s).swapaxes(-1, -2) @ scores_grad(g), (0, 1, 3, 2)), t)
 
     def grad_v(g):
         return merge(weights.data.swapaxes(-1, -2) @ split(g, s), t)
@@ -469,14 +496,15 @@ def edge_softmax(e, keep: np.ndarray, slope: float) -> Tensor:
     flat = np.flatnonzero(keep)
     rows, cols = np.divmod(flat, n)
     starts = np.cumsum(row_counts) - row_counts  # first edge of each row
-    slope = e.data.dtype.type(slope)
+    dtype = e.data.dtype
+    slope = dtype.type(slope)
     s = e.data[:, rows, 0] + e.data[:, cols, 1]  # (T, E) logits
     pos = s > 0
     s = np.where(pos, s, s * slope)
     s -= np.repeat(np.maximum.reduceat(s, starts, axis=1), row_counts, axis=1)
     np.exp(s, out=s)
     s /= np.repeat(np.add.reduceat(s, starts, axis=1), row_counts, axis=1)
-    y = np.zeros((t, n * n), dtype=e.data.dtype)
+    y = np.zeros((t, n * n), dtype=dtype)
     y[:, flat] = s
 
     def vjp(g):
@@ -486,7 +514,7 @@ def edge_softmax(e, keep: np.ndarray, slope: float) -> Tensor:
         by_col = np.argsort(cols, kind="stable")  # each column's edges as one segment
         col_counts = np.bincount(cols, minlength=n)
         used = col_counts > 0  # a column may have no kept entry
-        out = np.zeros((t, n, 2), dtype=e.data.dtype)
+        out = np.zeros((t, n, 2), dtype=dtype)
         out[:, :, 0] = np.add.reduceat(ds, starts, axis=1)
         out[:, used, 1] = np.add.reduceat(ds[:, by_col], (np.cumsum(col_counts) - col_counts)[used], axis=1)
         return out
@@ -507,8 +535,8 @@ def sum(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - matches
     a = _coerce(a)
     axes = _norm_axes(axis, a.data.ndim)
     data = a.data.sum(axis=axes, keepdims=keepdims)
-    shape = a.data.shape
-    return _result(np.asarray(data), (a,), (lambda g: _expand_reduced(g, shape, axes, keepdims).astype(a.data.dtype, copy=False),))
+    shape, dtype = a.data.shape, a.data.dtype
+    return _result(np.asarray(data), (a,), (lambda g: _expand_reduced(g, shape, axes, keepdims).astype(dtype, copy=False),))
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -518,9 +546,9 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     for ax in axes:
         count *= a.data.shape[ax]
     data = a.data.mean(axis=axes, keepdims=keepdims)
-    shape = a.data.shape
-    inv = a.data.dtype.type(1.0 / count)
-    return _result(np.asarray(data), (a,), (lambda g: _expand_reduced(g * inv, shape, axes, keepdims).astype(a.data.dtype, copy=False),))
+    shape, dtype = a.data.shape, a.data.dtype
+    inv = dtype.type(1.0 / count)
+    return _result(np.asarray(data), (a,), (lambda g: _expand_reduced(g * inv, shape, axes, keepdims).astype(dtype, copy=False),))
 
 
 # masked selection ----------------------------------------------------------
@@ -533,9 +561,10 @@ def masked_select(a, mask: np.ndarray) -> Tensor:
     if mask.shape != a.data.shape:
         mask = np.broadcast_to(mask, a.data.shape)
     data = a.data[mask]
+    shape, dtype = a.data.shape, a.data.dtype
 
     def vjp(g):
-        out = np.zeros(a.data.shape, dtype=a.data.dtype)
+        out = np.zeros(shape, dtype=dtype)
         out[mask] = g
         return out
 

@@ -267,7 +267,6 @@ def test_criterion_8_ablation_directions(synthetic_runs):
 # 9. memory contract -------------------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_criterion_9_subsampling_bounds_memory():
     spec = data.SyntheticSpec(n_clusters=100, nodes_per_cluster=5, lag=1,
                               noise_std=0.0, length=10, seed=0)

@@ -280,7 +280,8 @@ def _sweep_summary(out, bad):
     rows = {1: {"seed": 1, "pretrain_val_loss": 0.5, "val_ic": 0.1},
             2: {"seed": 2, "pretrain_val_loss": 0.4, "val_ic": "\ud800" if bad else 0.2}}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_sweep_point", lambda values, point, run_dir: rows[point["seed"]])
+        mp.setattr(cli, "_sweep_prepare", lambda values, point: None)
+        mp.setattr(cli, "_sweep_point", lambda prepared, point, run_dir: rows[point["seed"]])
         cli.cmd_sweep(argparse.Namespace(grid=["seed=1,2"], out=str(out)), config.defaults())
     return out / "summary.csv"
 

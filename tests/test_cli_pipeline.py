@@ -4,6 +4,7 @@ pretrain -> finetune -> predict -> backtest, plus determinism and sweep."""
 import numpy as np
 import pytest
 
+from tcgpn import cli
 from tcgpn.cli import dispatch
 from tcgpn.tensorcore import load_checkpoint, save_checkpoint
 
@@ -185,3 +186,13 @@ def test_sweep_without_a_training_window_exits_3_without_point_dir(tmp_path, cap
                     + TINY + ["--window", "100"])
     assert code == 3 and "window=100" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_with_a_bad_later_point_exits_3_before_any_point_trains(tmp_path, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(cli, "_sweep_point", lambda prepared, point, run_dir: trained.append(point))
+    out = tmp_path / "sweep"
+    code = dispatch(["sweep", "--grid", "window=10,100", "--out", str(out), "--split_mode", "fraction",
+                     "--synth_length", "120"] + TINY)
+    assert code == 3 and "window=100" in capsys.readouterr().err
+    assert trained == [] and not out.exists()

@@ -512,7 +512,32 @@ def test_no_grad_prunes_graph():
     p = Tensor(np.ones(2), requires_grad=True)
     with tc.no_grad():
         out = p * 2.0
-    assert not out.requires_grad and out._parents == ()
+    assert not out.requires_grad
+    tc.sum(out * p).backward()  # only the edge to p built outside no_grad carries a gradient
+    assert np.array_equal(p.grad, [2.0, 2.0])
+
+
+def test_dropped_pre_activation_leaves_live_bytes_with_unchanged_grads():
+    import gc
+    rng = np.random.default_rng(31)
+    raw_x, raw_w = rng.normal(size=(50, 40)), rng.normal(size=(40, 30))
+    grads = []
+    for drop in (False, True):
+        x, w = Tensor(raw_x.copy(), requires_grad=True), Tensor(raw_w.copy(), requires_grad=True)
+        pre = tc.linear(x, w)
+        out = tc.relu(pre)
+        if drop:
+            gc.disable()  # the buffer must go by reference counting alone
+            try:
+                before = memory.live_bytes()
+                del pre
+                assert memory.live_bytes() == before - raw_x.shape[0] * raw_w.shape[1] * 8
+            finally:
+                gc.enable()
+        tc.sum(out * out).backward()
+        grads.append((x.grad, w.grad))
+    for kept, dropped in zip(*grads):
+        assert np.array_equal(kept, dropped)
 
 
 def test_forward_backward_reports_only_touched_paths():

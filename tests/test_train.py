@@ -2,13 +2,16 @@
 baselines. Uses a miniature synthetic setup to stay fast."""
 
 import gc
+import types
+import weakref
 
 import numpy as np
 import pytest
 
 from tcgpn import checks, data, losses, model, train
 from tcgpn.data import SyntheticSpec, gen_synthetic, split_by_fraction, window_samples
-from tcgpn.tensorcore import Adam, forward_backward, load_checkpoint, memory
+from tcgpn.tensorcore import Adam, Tensor, forward_backward, load_checkpoint, memory
+from tcgpn.tensorcore import tensor as tensor_mod
 
 
 def mini_setup(seed=0, d=70, t=12):
@@ -273,6 +276,111 @@ def test_pretrain_peak_memory_does_not_grow_with_batch():
 
     one, four = peak(wtrain[:1]), peak(wtrain[:4])
     assert four < 1.2 * one, (four, one)
+
+
+# the acceptance-scale model (N=20, T=30, d=24) on one random masked sample
+ACCEPT_MODEL = model.ModelConfig(n_features=4, d_model=24, gat_heads=2, gat_dim=8, tgm_blocks=1,
+                                 tgm_heads=4, window=30, d_a=8, ffn_hidden=48, head_hidden=48)
+
+
+def _accept_forward(seed: int):
+    """A function that runs one pretraining forward and returns its loss."""
+    sample, _, _ = checks.make_check_sample(ACCEPT_MODEL, 20, seed=seed)
+    params = model.init_params(ACCEPT_MODEL, seed=seed)
+    return lambda: train.pretrain_sample_losses(sample, params, ACCEPT_MODEL,
+                                                train.TrainConfig(epochs=1))[0]
+
+
+def _buffer(arr: np.ndarray) -> np.ndarray:
+    """The array that owns the memory arr views."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _closure_contents(fn):
+    """Every Tensor and ndarray a vjp reaches through closures, defaults and
+    containers, without looking inside Tensors."""
+    tensors, arrays, stack, seen = [], [], [fn], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            tensors.append(obj)
+        elif isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack += [c.cell_contents for c in obj.__closure__ or ()] + list(obj.__defaults__ or ())
+        elif isinstance(obj, (list, tuple, set)):
+            stack += list(obj)
+        elif isinstance(obj, dict):
+            stack += list(obj.values())
+    return tensors, arrays
+
+
+def _vjps(loss: Tensor) -> list:
+    vjps, stack, seen = [], [loss._node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for parent, vjp in node._edges:
+            vjps.append(vjp)
+            stack.append(parent)
+    return vjps
+
+
+def test_vjps_hold_no_uncounted_view_of_a_tensor_buffer(monkeypatch):
+    # memory.live_bytes counts Tensor buffers; a vjp that kept a bare view of
+    # a buffer whose Tensor is gone would hold bytes the counter has freed
+    made = []  # the owning buffer of every Tensor the forward makes
+    result, init = tensor_mod._result, Tensor.__init__
+
+    def record(data):
+        if isinstance(data, np.ndarray):  # not a numpy scalar, which shares no memory
+            made.append(weakref.ref(_buffer(data)))
+
+    def recording_result(data, parents, vjps):
+        out = result(data, parents, vjps)
+        record(out.data)
+        return out
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        record(self.data)
+
+    forward = _accept_forward(seed=5)
+    monkeypatch.setattr(tensor_mod, "_result", recording_result)
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    loss = forward()
+    monkeypatch.undo()
+    made_ids = {id(r()) for r in made if r() is not None}
+    live_ids = {id(_buffer(t.data)) for t in gc.get_objects()
+                if isinstance(t, Tensor) and isinstance(t.data, np.ndarray)}
+    held = [_closure_contents(vjp) for vjp in _vjps(loss)]
+    assert len(held) > 50 and all(any(part) for part in zip(*held))  # Tensors and arrays both
+    for _, arrays in held:
+        for arr in arrays:
+            if id(_buffer(arr)) in made_ids:
+                assert id(_buffer(arr)) in live_ids, arr.shape
+
+
+def test_dropping_the_loss_frees_every_buffer_without_the_cycle_collector():
+    forward = _accept_forward(seed=6)
+    gc.collect()
+    gc.disable()
+    try:
+        before = memory.live_bytes()
+        loss = forward()
+        assert memory.live_bytes() > before
+        loss.backward()
+        del loss
+        assert memory.live_bytes() == before
+    finally:
+        gc.enable()
 
 
 def test_pretrain_aborts_on_non_finite_loss_with_seed(monkeypatch):
