@@ -5,7 +5,7 @@ MaskedSample bundles all three for one training example.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,14 +54,8 @@ def sample_nodes(window: WindowSample, graph: CorrelationGraph, n_sub: int,
 def _subset(window: WindowSample, graph: CorrelationGraph,
             idx: np.ndarray) -> tuple[WindowSample, CorrelationGraph]:
     idx = np.asarray(idx)
-    sub_window = WindowSample(
-        panel=window.panel[idx].copy(),
-        target=window.target[idx].copy(),
-        end_date=window.end_date,
-        end_index=window.end_index,
-        node_ids=[window.node_ids[i] for i in idx],
-    )
-    return sub_window, graph.subgraph(idx)
+    return replace(window, panel=window.panel[idx], target=window.target[idx],
+                   node_ids=[window.node_ids[i] for i in idx]), graph.subgraph(idx)
 
 
 def mask_temporal(window: WindowSample, r_t: float, seed: int) -> MaskedPanel:
@@ -72,23 +66,22 @@ def mask_temporal(window: WindowSample, r_t: float, seed: int) -> MaskedPanel:
         raise ValueError(f"r_t must be in [0, 1), got {r_t}")
     n, t = window.panel.shape[:2]
     span = int(np.floor(r_t * t))
+    starts = np.random.default_rng(seed).integers(0, t - span + 1, size=(n, 1))
+    mask = (starts <= np.arange(t)) & (np.arange(t) < starts + span)
     values = window.panel.copy()
-    mask = np.zeros((n, t), dtype=bool)
-    if span > 0:
-        starts = np.random.default_rng(seed).integers(0, t - span + 1, size=n)
-        for i in range(n):
-            mask[i, starts[i]:starts[i] + span] = True
-        values[mask] = 0.0
+    values[mask] = 0.0
     return MaskedPanel(values=values, mask_positions=mask)
 
 
 def make_masked_sample(window: WindowSample, graph: CorrelationGraph, r_t: float,
-                       r_g: float, seed: int, n_sub: int | None = None) -> MaskedSample:
+                       r_g: float, seed: int, n_sub: int = 0) -> MaskedSample:
     """Compose node sampling, temporal masking and graph masking with
-    deterministic per-stage seeds derived from `seed`."""
+    deterministic per-stage seeds derived from `seed`. A sample keeps n_sub
+    random nodes when 0 < n_sub < N; n_sub 0, or N or more, keeps every node
+    in order."""
     ss = np.random.SeedSequence(seed).spawn(3)
     seeds = [int(s.generate_state(1)[0]) for s in ss]
-    if n_sub is not None and n_sub < window.n_nodes:
+    if n_sub and n_sub < window.n_nodes:
         window, graph = sample_nodes(window, graph, n_sub, seeds[0])
     return MaskedSample(
         panel=mask_temporal(window, r_t, seeds[1]),

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import check_date
-from .tensorcore.checkpoint import atomic_write
+from .tensorcore.checkpoint import atomic_write, open_text
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -68,7 +68,7 @@ def read_score_file(path: str | Path, value_name: str) -> dict[str, dict[str, fl
     """Read a `date,symbol,<value_name>` CSV into {date: {symbol: value}}.
     Values must be finite and each (date, symbol) may appear once."""
     table: dict[str, dict[str, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["date", "symbol", value_name]:
@@ -97,9 +97,13 @@ def read_score_file(path: str | Path, value_name: str) -> dict[str, dict[str, fl
     return table
 
 
-def _next_date(sorted_dates: list[str], after: str) -> str | None:
-    i = bisect.bisect_right(sorted_dates, after)
-    return sorted_dates[i] if i < len(sorted_dates) else None
+def _date_pairs(predictions: dict, returns: dict):
+    """Each prediction date in order, with the first return date after it
+    (None when there is none)."""
+    return_dates = sorted(returns)
+    for d in sorted(predictions):
+        i = bisect.bisect_right(return_dates, d)
+        yield d, return_dates[i] if i < len(return_dates) else None
 
 
 def daily_ic(pred: np.ndarray, realized: np.ndarray, method: str = "pearson") -> float:
@@ -133,10 +137,8 @@ def ic_series(predictions: dict[str, dict[str, float]],
               ) -> tuple[list[str], list[float], int]:
     """Per-prediction-date IC against next-date returns; constant or
     unmatchable cross-sections are skipped and counted."""
-    return_dates = sorted(returns)
     dates, ics, skipped = [], [], 0
-    for d in sorted(predictions):
-        rd = _next_date(return_dates, d)
+    for d, rd in _date_pairs(predictions, returns):
         if rd is None:
             skipped += 1
             continue
@@ -161,11 +163,9 @@ def run_strategy(predictions: dict[str, dict[str, float]],
     universe = {s for per in predictions.values() for s in per}
     if k < 1 or k > len(universe):
         raise ValueError(f"k must be in [1, {len(universe)}], got {k}")
-    return_dates = sorted(returns)
     report = StrategyReport()
     dates, daily = [], []
-    for d in sorted(predictions):
-        rd = _next_date(return_dates, d)
+    for d, rd in _date_pairs(predictions, returns):
         if rd is None:
             report.skipped_dates.append(d)
             continue

@@ -45,7 +45,7 @@ def make_check_sample(cfg: model.ModelConfig, n_nodes: int, seed: int = 0,
 
 def finetune_loss_fn(window: WindowSample, graph: CorrelationGraph,
                      cfg: model.ModelConfig, lambda_m: float = 0.3):
-    conn = graph.weights != 0
+    conn = graph.connectivity()
 
     def fn(params: ParamStore):
         out = model.encoder_forward(window.panel, conn, params, cfg)

@@ -151,7 +151,9 @@ def _split(panel: data.TimePanel, values):
         if mode == "fraction":
             return data.split_by_fraction(panel, values["train_frac"], values["val_frac"])
     except ValueError as e:
-        raise ConfigError(f"split_mode={mode}: {e}") from None
+        years_valid = mode == "year" and min(values[f"{split}_years"] for split in SPLITS) >= 1
+        remedy = "; pass --split_mode fraction, or a panel that spans more calendar years"
+        raise ConfigError(f"split_mode={mode}: {e}{remedy if years_valid else ''}") from None
     raise ConfigError(f"unknown split_mode: {mode}")
 
 

@@ -14,7 +14,7 @@ from typing import Any
 
 from .data import SyntheticSpec
 from .model import ModelConfig
-from .tensorcore.checkpoint import atomic_write
+from .tensorcore.checkpoint import atomic_write, open_text
 from .train import TrainConfig
 
 
@@ -107,14 +107,19 @@ def _parse_value(key: str, raw: str) -> Any:
 
 def load_file(path: str | Path) -> dict[str, Any]:
     values: dict[str, Any] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    with open_text(path, ConfigError) as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {line!r}")
         key, raw = stripped.split("=", 1)
-        values[key.strip()] = _parse_value(key.strip(), raw)
+        try:
+            values[key.strip()] = _parse_value(key.strip(), raw)
+        except ConfigError as e:
+            raise ConfigError(f"{path}:{lineno}: {e}") from None
     return values
 
 

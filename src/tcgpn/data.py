@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import CorrelationGraph
-from .tensorcore.checkpoint import atomic_write
+from .tensorcore.checkpoint import atomic_write, open_text
 
 
 @dataclass
@@ -115,7 +115,7 @@ def load_panel(path: str | Path) -> tuple[TimePanel, list[str]]:
     """Read the panel CSV. Only dates on which every node has a row are kept;
     returns the panel and the dropped dates."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensorcore.checkpoint import atomic_write
+from .tensorcore.checkpoint import atomic_write, open_text
 
 
 @dataclass
@@ -41,6 +41,10 @@ class CorrelationGraph:
     def nnz(self) -> int:
         return int(np.count_nonzero(self.weights))
 
+    def connectivity(self) -> np.ndarray:
+        """Boolean adjacency, true at every edge: the nonzero weights."""
+        return self.weights != 0
+
     def subgraph(self, indices: Sequence[int]) -> "CorrelationGraph":
         idx = np.asarray(indices)
         return CorrelationGraph(
@@ -65,7 +69,7 @@ class MaskedGraph:
     def connectivity(self) -> np.ndarray:
         """Boolean adjacency the attention layer may use (no self-loops):
         the base graph's edges minus the hidden ones."""
-        return (self.base.weights != 0) & self.mask_kept
+        return self.base.connectivity() & self.mask_kept
 
 
 def build_industry_graph(nodes: Sequence[tuple[str, str, float, float]]) -> CorrelationGraph:
@@ -148,7 +152,8 @@ def save_graph(path: str | Path, graph: CorrelationGraph) -> None:
 def load_graph(path: str | Path, node_ids: Sequence[str]) -> CorrelationGraph:
     """Read the text format, resolving and validating ids against the given
     node universe (typically the panel's)."""
-    text = Path(path).read_text(encoding="utf-8").rstrip().splitlines()  # keep line numbers
+    with open_text(path) as fh:
+        text = fh.read().rstrip().splitlines()  # keep line numbers
     if not text:
         raise ValueError(f"{path}: empty graph file")
     header = re.fullmatch(r"tcgpn-graph v1 directed=([01]) n=(\d+)", text[0].strip())
@@ -194,9 +199,11 @@ _INDUSTRY_COLUMNS = ("symbol", "industry", "registered_capital", "turnover")
 def load_industry_metadata(path: str | Path) -> list[tuple[str, str, float, float]]:
     """Read an industry metadata CSV with header columns symbol, industry,
     registered_capital and turnover (in any order) into build_industry_graph
-    rows; both numbers must be finite and positive."""
+    rows; both numbers must be finite and positive, and each symbol is
+    given once."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    first_line: dict[str, int] = {}  # symbol -> line it was first given on
+    with open_text(path) as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in _INDUSTRY_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
@@ -214,5 +221,9 @@ def load_industry_metadata(path: str | Path) -> list[tuple[str, str, float, floa
                 if not 0 < value < np.inf:
                     raise ValueError(f"{where}: bad {col} {rec[col]!r}")
                 numbers.append(value)
-            rows.append((rec["symbol"], rec["industry"], *numbers))
+            symbol = rec["symbol"]
+            if symbol in first_line:
+                raise ValueError(f"{where}: symbol {symbol} repeated (first on line {first_line[symbol]})")
+            first_line[symbol] = reader.line_num
+            rows.append((symbol, rec["industry"], *numbers))
     return rows

@@ -5,6 +5,8 @@ UTF-8 JSON header {"config": ..., "entries": [{path, shape, dtype, offset}]},
 then the raw little-endian parameter values. Offsets index into the payload,
 which ends with the last entry. Files are written through a temporary file
 and renamed into place, so a reader never sees a partial checkpoint.
+
+`atomic_write` and `open_text` serve the package's text formats too.
 """
 
 from __future__ import annotations
@@ -39,6 +41,25 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def open_text(path: str | Path, error: type[ValueError] = ValueError):
+    """Open a UTF-8 text file for reading, with newline="" as csv needs. A
+    byte that does not decode raises `error` with `<path>:<line>: not UTF-8`.
+    The line is found in the raw bytes only then, so reading a valid file
+    costs nothing extra."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raw = raw[:e.start]  # the bytes before the first that does not decode
+        line = raw.count(b"\n") + 1
+        raise error(f"{path}:{line}: not UTF-8") from None
 
 
 def save_checkpoint(path: str | Path, params: ParamStore, config: dict | None = None) -> None:

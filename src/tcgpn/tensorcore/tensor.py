@@ -525,30 +525,27 @@ def edge_softmax(e, keep: np.ndarray, slope: float) -> Tensor:
 # reductions ----------------------------------------------------------------
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...], keepdims: bool) -> np.ndarray:
-    if not keepdims:
-        g = np.expand_dims(g, axes)
-    return np.broadcast_to(g, shape)
+def _reduce(reduction, a, axis, keepdims: bool) -> Tensor:
+    """np.sum or np.mean over axis. The vjp broadcasts the gradient back over
+    the reduced axes, times 1 / count for a mean."""
+    a = _coerce(a)
+    axes = _norm_axes(axis, a.data.ndim)
+    shape, dtype = a.data.shape, a.data.dtype
+    inv = dtype.type(1.0 / math.prod(shape[ax] for ax in axes)) if reduction is np.mean else None
+
+    def vjp(g):
+        g = g if inv is None else g * inv
+        return np.broadcast_to(g if keepdims else np.expand_dims(g, axes), shape).astype(dtype, copy=False)
+
+    return _result(np.asarray(reduction(a.data, axis=axes, keepdims=keepdims)), (a,), (vjp,))
 
 
 def sum(a, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - matches numpy naming
-    a = _coerce(a)
-    axes = _norm_axes(axis, a.data.ndim)
-    data = a.data.sum(axis=axes, keepdims=keepdims)
-    shape, dtype = a.data.shape, a.data.dtype
-    return _result(np.asarray(data), (a,), (lambda g: _expand_reduced(g, shape, axes, keepdims).astype(dtype, copy=False),))
+    return _reduce(np.sum, a, axis, keepdims)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _coerce(a)
-    axes = _norm_axes(axis, a.data.ndim)
-    count = 1
-    for ax in axes:
-        count *= a.data.shape[ax]
-    data = a.data.mean(axis=axes, keepdims=keepdims)
-    shape, dtype = a.data.shape, a.data.dtype
-    inv = dtype.type(1.0 / count)
-    return _result(np.asarray(data), (a,), (lambda g: _expand_reduced(g * inv, shape, axes, keepdims).astype(dtype, copy=False),))
+    return _reduce(np.mean, a, axis, keepdims)
 
 
 # masked selection ----------------------------------------------------------

@@ -161,22 +161,23 @@ def pretrain_sample_losses(sample: augment.MaskedSample, params: ParamStore,
 
 def _make_sample(window: WindowSample, graph: CorrelationGraph, cfg: TrainConfig,
                  seed: int) -> augment.MaskedSample:
-    n_sub = cfg.n_sub if 0 < cfg.n_sub < window.n_nodes else None
-    return augment.make_masked_sample(window, graph, cfg.r_t, cfg.r_g, seed, n_sub=n_sub)
+    return augment.make_masked_sample(window, graph, cfg.r_t, cfg.r_g, seed, n_sub=cfg.n_sub)
+
+
+def _validation_samples(windows: list[WindowSample], graph: CorrelationGraph, cfg: TrainConfig):
+    """Each validation window's masked sample, on a fixed seed per window,
+    made as it is read."""
+    for i, window in enumerate(windows):
+        yield _make_sample(window, graph, cfg, _derive_seed(cfg.seed, _VALIDATION_MASK_SEED, i))
 
 
 def _pretrain_validation(windows: list[WindowSample], graph: CorrelationGraph,
                          params: ParamStore, model_cfg: model.ModelConfig,
                          cfg: TrainConfig) -> float:
     """Mean combined validation loss on deterministic masks."""
-    totals = []
     with no_grad():
-        for i, window in enumerate(windows):
-            seed = _derive_seed(cfg.seed, _VALIDATION_MASK_SEED, i)
-            sample = _make_sample(window, graph, cfg, seed)
-            combined, _, _ = pretrain_sample_losses(sample, params, model_cfg, cfg)
-            totals.append(float(combined.data))
-    return float(np.mean(totals))
+        return float(np.mean([float(pretrain_sample_losses(sample, params, model_cfg, cfg)[0].data)
+                              for sample in _validation_samples(windows, graph, cfg)]))
 
 
 def pretrain(train_windows: list[WindowSample], val_windows: list[WindowSample],
@@ -231,22 +232,23 @@ def finetune(pretrained: ParamStore, train_windows: list[WindowSample],
              run_dir: str | Path | None = None, verbose: bool = False) -> TrainResult:
     """Train the prediction head on unmasked inputs over a frozen encoder:
     every training and validation window is encoded once, up front, and the
-    head is fitted to those (encoding, target) pairs."""
+    head is fitted to those (encoding, target) pairs. The encodings stay
+    no-grad Tensors, so memory.py counts them while fine-tuning holds them."""
     if not train_windows:
         raise ValueError("fine-tuning needs at least one window")
     params = pretrained.clone()
-    conn = graph.weights != 0
+    conn = graph.connectivity()
 
-    def encode(windows: list[WindowSample]) -> list[tuple[np.ndarray, np.ndarray]]:
+    def encode(windows: list[WindowSample]) -> list[tuple[Tensor, np.ndarray]]:
         with no_grad():
-            return [(model.encoder_forward(w.panel, conn, params, model_cfg).data, w.target)
+            return [(model.encoder_forward(w.panel, conn, params, model_cfg), w.target)
                     for w in windows]
 
     train_items, val_items = encode(train_windows), encode(val_windows)
 
-    def sample_loss(item: tuple[np.ndarray, np.ndarray], seed: int, step: int):
+    def sample_loss(item: tuple[Tensor, np.ndarray], seed: int, step: int):
         encoding, target = item
-        y_hat = model.finetune_head(Tensor(encoding), params, model_cfg)
+        y_hat = model.finetune_head(encoding, params, model_cfg)
         total, mse, pearson = losses.loss_finetune(y_hat, target, cfg.lambda_m)
         return total, losses.LossReport(
             step=step, l_mse=float(mse.data), l_fine=float(total.data),
@@ -254,7 +256,7 @@ def finetune(pretrained: ParamStore, train_windows: list[WindowSample],
 
     def validate(params: ParamStore) -> float:
         with no_grad():
-            return _mean_ic((model.finetune_head(Tensor(encoding), params, model_cfg).data, target)
+            return _mean_ic((model.finetune_head(encoding, params, model_cfg).data, target)
                             for encoding, target in val_items)
 
     return _fit("finetune", params, train_items, sample_loss, validate if val_items else None,
@@ -270,7 +272,7 @@ def predict(params: ParamStore, model_cfg: model.ModelConfig,
     """Deterministic per-node scores for each window end date."""
     if windows and graph.node_ids != windows[0].node_ids:
         raise ValueError("graph and panel node sets differ")
-    conn = graph.weights != 0
+    conn = graph.connectivity()
     rows = []
     with no_grad():
         for window in windows:
@@ -313,9 +315,7 @@ def masked_reconstruction_mse(params: ParamStore, model_cfg: model.ModelConfig,
     on the deterministic masks that pretraining validation scores."""
     model_errs, baseline_errs = [], []
     with no_grad():
-        for i, window in enumerate(windows):
-            seed = _derive_seed(cfg.seed, _VALIDATION_MASK_SEED, i)
-            sample = _make_sample(window, graph, cfg, seed)
+        for sample in _validation_samples(windows, graph, cfg):
             mask = sample.panel.mask_positions
             if not mask.any():
                 continue

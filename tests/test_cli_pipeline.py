@@ -180,6 +180,16 @@ def test_sweep_honours_split_mode(tmp_path, capsys):
     assert "panel spans 2 calendar years, need 12" in capsys.readouterr().err
 
 
+def test_sweep_on_its_defaults_names_the_remedy_without_point_dir(tmp_path, capsys):
+    # the default 600-date synthetic panel spans 2 calendar years; the default year split needs 12
+    out = tmp_path / "sweep"
+    assert dispatch(["sweep", "--grid", "r_t=0.2,0.3", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: split_mode=year: panel spans 2 calendar years, need 12; "
+                                       "pass --split_mode fraction, or a panel that spans more "
+                                       "calendar years\n")
+    assert not out.exists()
+
+
 def test_sweep_without_a_training_window_exits_3_without_point_dir(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = dispatch(["sweep", "--grid", "r_t=0.2", "--out", str(out), "--synth_length", "120"]

@@ -45,6 +45,15 @@ def test_unknown_key_rejected(tmp_path):
         config.resolve(None, ["--epochs", "many"])
 
 
+@pytest.mark.parametrize("line, message", [("nosuch = 1", "unknown config key: 'nosuch'"),
+                                           ("d_model = abc", "bad value for d_model: 'abc' (expected int)")])
+def test_config_file_error_names_the_line(tmp_path, capsys, line, message):
+    f = tmp_path / "c.txt"
+    f.write_text(f"# comment\nr_t = 0.5\n{line}\n")
+    assert dispatch(["config-keys", "--config", str(f)]) == 3
+    assert capsys.readouterr().err == f"error: {f}:3: {message}\n"
+
+
 def test_round_trip_dump_load(tmp_path):
     values = config.resolve(None, ["--r_t", "0.4", "--seed", "9"])
     out = tmp_path / "resolved.txt"
@@ -206,3 +215,41 @@ def test_cli_config_keys_lists_table(capsys):
     assert dispatch(["config-keys"]) == 0
     out = capsys.readouterr().out
     assert "r_t" in out and "default=0.3" in out
+
+
+@pytest.fixture(scope="module")
+def synth_files(tmp_path_factory):
+    """A synthetic panel (20 nodes x 60 dates, several read buffers long), its
+    graph and returns, a score file and an industry metadata file."""
+    out = tmp_path_factory.mktemp("utf8")
+    assert dispatch(["synth-data", "--out", str(out), "--synth_length", "60"]) == 0
+    returns = (out / "returns.csv").read_text()
+    (out / "scores.csv").write_text(returns.replace("date,symbol,return", "date,symbol,score", 1))
+    panel, _ = load_panel(out / "panel.csv")
+    (out / "meta.csv").write_text("symbol,industry,registered_capital,turnover\n" + "".join(
+        f"{sym},ind{i % 2},{1.0 + i},{2.0 + i}\n" for i, sym in enumerate(panel.node_ids)))
+    (out / "c.txt").write_text("r_t = 0.5\nepochs = 7\nseed = 1\n")
+    return out
+
+
+@pytest.mark.parametrize("name, line, code, argv", [
+    ("panel.csv", 1000, 1, ["build-graph", "--data", "{bad}", "--kind", "distance", "--out", "{out}",
+                            "--split_mode", "fraction"]),
+    ("graph.txt", 3, 1, ["predict", "--checkpoint", "{out}", "--data", "{dir}/panel.csv",
+                         "--graph", "{bad}", "--out", "{out}"]),
+    ("meta.csv", 4, 1, ["build-graph", "--data", "{dir}/panel.csv", "--kind", "industry",
+                        "--meta", "{bad}", "--out", "{out}"]),
+    ("returns.csv", 1000, 1, ["backtest", "--predictions", "{dir}/scores.csv", "--returns", "{bad}",
+                              "--out", "{out}"]),
+    ("c.txt", 2, 3, ["config-keys", "--config", "{bad}"]),
+])
+def test_non_utf8_input_names_file_and_line(synth_files, tmp_path, capsys, name, line, code, argv):
+    lines = (synth_files / name).read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    bad = tmp_path / name
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    assert dispatch([a.format(bad=bad, dir=synth_files, out=out) for a in argv]) == code
+    kind = "" if code == 3 else "ValueError: "
+    assert capsys.readouterr().err == f"error: {kind}{bad}:{line}: not UTF-8\n"
+    assert not out.exists()

@@ -296,3 +296,10 @@ def test_industry_metadata_bad_number_names_file_and_line(tmp_path):
         meta.write_text(f"symbol,industry,registered_capital,turnover\na,x,1.0,2.0\nb,x,3.0,{bad}\n")
         with pytest.raises(ValueError, match=rf"meta\.csv:3: bad turnover '{bad}'$"):
             graphs.load_industry_metadata(meta)
+
+
+def test_industry_metadata_repeated_symbol_names_both_lines(tmp_path):
+    meta = tmp_path / "meta.csv"
+    meta.write_text("symbol,industry,registered_capital,turnover\na,x,1.0,2.0\nb,x,3.0,4.0\na,y,5.0,6.0\n")
+    with pytest.raises(ValueError, match=r"meta\.csv:4: symbol a repeated \(first on line 2\)$"):
+        graphs.load_industry_metadata(meta)

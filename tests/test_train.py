@@ -390,3 +390,27 @@ def test_pretrain_aborts_on_non_finite_loss_with_seed(monkeypatch):
     monkeypatch.setattr(model, "init_params", lambda *args, **kwargs: poisoned)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="sample seed"):
         train.pretrain(wtrain, [], graph, cfg, fast_train_cfg(epochs=1))
+
+
+def test_finetune_counts_the_encodings_it_holds(monkeypatch):
+    # acceptance scale: N=20, T=30, d=24; every window's frozen encoding is a counted Tensor
+    panel, graph = gen_synthetic(SyntheticSpec(n_clusters=4, nodes_per_cluster=5, length=200, seed=0))
+    parts = split_by_fraction(panel, 0.6, 0.2)
+    wtrain, wval = window_samples(parts[0], 30, 5), window_samples(parts[1], 30, 5)
+    assert wtrain and wval
+    fit, seen = train._fit, {}
+
+    def recording(phase, params, items, *args, **kwargs):
+        seen["live"], seen["items"] = memory.live_bytes(), items
+        return fit(phase, params, items, *args, **kwargs)
+
+    monkeypatch.setattr(train, "_fit", recording)
+    params = model.init_params(ACCEPT_MODEL, seed=0)
+    gc.collect()
+    start = memory.live_bytes()
+    train.finetune(params, wtrain, wval, graph, ACCEPT_MODEL, fast_train_cfg(epochs=1))
+    encoding = seen["items"][0][0]
+    assert len(seen["items"]) == len(wtrain)
+    held = (len(wtrain) + len(wval)) * encoding.data.nbytes
+    assert seen["live"] - start >= held, (seen["live"] - start, held)
+    assert all(isinstance(enc, Tensor) for enc, _ in seen["items"])
