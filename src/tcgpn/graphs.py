@@ -39,7 +39,7 @@ class CorrelationGraph:
             raise ValueError("edge weights must be non-negative")
 
     def nnz(self) -> int:
-        return int(np.count_nonzero(self.weights))
+        return int(np.count_nonzero(self.connectivity()))
 
     def connectivity(self) -> np.ndarray:
         """Boolean adjacency, true at every edge: the nonzero weights."""
@@ -125,7 +125,7 @@ def mask_edges(graph: CorrelationGraph, r_g: float, seed: int) -> MaskedGraph:
     if not 0.0 <= r_g < 1.0:
         raise ValueError(f"r_g must be in [0, 1), got {r_g}")
     rng = np.random.default_rng(seed)
-    rows, cols = np.nonzero(graph.weights)
+    rows, cols = np.nonzero(graph.connectivity())
     chosen = rng.choice(len(rows), size=int(np.floor(r_g * len(rows))), replace=False)
     mask_kept = np.ones(graph.weights.shape, dtype=bool)
     mask_kept[rows[chosen], cols[chosen]] = False
@@ -140,7 +140,7 @@ def save_graph(path: str | Path, graph: CorrelationGraph) -> None:
     `src_id,dst_id,weight` line per stored edge (undirected graphs store
     each edge once, with src index < dst index)."""
     lines = [f"tcgpn-graph v1 directed={int(graph.directed)} n={graph.n_nodes}"]
-    rows, cols = np.nonzero(graph.weights)
+    rows, cols = np.nonzero(graph.connectivity())
     for i, j in zip(rows, cols):
         if not graph.directed and i > j:
             continue

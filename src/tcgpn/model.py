@@ -181,10 +181,11 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
     plus an always-present self-loop; per-head aggregations are concatenated.
 
     The stage runs time-major: x goes to (T, N, d) once, and the result
-    comes back to (N, T, .). Each head scores both halves of its attention
-    vector in one product, e = h @ [a_src a_dst] of shape (T, N, 2);
-    `tc.edge_softmax` builds and normalises the logits on the kept edges
-    only, and the dense (T, N, N) weights aggregate h in one batched product.
+    comes back to (N, T, .). Each head projects h = x W (T, N, g) and scores
+    both halves of its attention vector in one product, e = h @ [a_src a_dst]
+    of shape (T, N, 2). One `tc.graph_attention` node softmaxes every head's
+    logits on the kept edges and aggregates; it keeps (T, H, E) edge weights
+    for backward, not dense (T, N, N) maps.
     """
     n = x.shape[0]
     if connectivity.shape != (n, n):
@@ -194,13 +195,12 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
     # one contiguous (T, N, d) copy: the (T*N, d) reshape of the transposed
     # view copies it, so no head's projection or weight gradient copies again
     x_t = tc.reshape(tc.reshape(tc.transpose(x, (1, 0, 2)), (t * n, d)), (t, n, d))
-    heads = []
+    hs, es = [], []
     for k in range(cfg.gat_heads):
-        h = tc.linear(x_t, params[f"gat.h{k}.weight"])  # (T, N, g)
+        hs.append(tc.linear(x_t, params[f"gat.h{k}.weight"]))  # (T, N, g)
         a = tc.transpose(tc.reshape(params[f"gat.h{k}.attn"], (2, cfg.gat_dim)), (1, 0))  # (g, 2)
-        alpha = tc.edge_softmax(tc.linear(h, a), keep, cfg.leaky_slope)  # (T, N, N)
-        heads.append(tc.matmul(alpha, h))  # (T, N, g)
-    z = heads[0] if len(heads) == 1 else tc.concat(heads, axis=2)
+        es.append(tc.linear(hs[-1], a))  # (T, N, 2)
+    z = tc.graph_attention(hs, es, keep, cfg.leaky_slope)  # (T, N, H g)
     return tc.transpose(tc.leaky_relu(z, cfg.leaky_slope), (1, 0, 2))
 
 

@@ -11,9 +11,8 @@ from .tensor import (
     Tensor,
     add,
     attention,
-    concat,
     div,
-    edge_softmax,
+    graph_attention,
     leaky_relu,
     linear,
     masked_select,
@@ -39,11 +38,10 @@ __all__ = [
     "Tensor",
     "add",
     "attention",
-    "concat",
     "div",
-    "edge_softmax",
     "forward_backward",
     "grad_check",
+    "graph_attention",
     "leaky_relu",
     "linear",
     "load_checkpoint",

@@ -45,12 +45,13 @@ def atomic_write(path: str | Path, mode: str = "w", **open_kwargs):
 
 @contextlib.contextmanager
 def open_text(path: str | Path, error: type[ValueError] = ValueError):
-    """Open a UTF-8 text file for reading, with newline="" as csv needs. A
+    """Open a UTF-8 text file for reading, with newline="" as csv needs; a
+    leading byte-order mark, as spreadsheet programs write, is skipped. A
     byte that does not decode raises `error` with `<path>:<line>: not UTF-8`.
     The line is found in the raw bytes only then, so reading a valid file
     costs nothing extra."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         raw = Path(path).read_bytes()

@@ -1,12 +1,12 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-The primitive set is closed, 17 in all: add, sub, mul, div, matmul,
+The primitive set is closed, 16 in all: add, sub, mul, div, matmul,
 linear (a stacked input times one matrix plus an optional bias, as one GEMM),
-transpose, reshape, concat, normalize (zero mean, unit variance over the last
-axis, with an optional affine gain and shift), relu, leaky_relu, attention
+transpose, reshape, normalize (zero mean, unit variance over the last axis,
+with an optional affine gain and shift), relu, leaky_relu, attention
 (multi-head attention whose softmax is reweighted by a constant decay array),
-edge_softmax (graph attention over the kept edges of a constant neighbour
-mask), sum, mean and masked_select.
+graph_attention (multi-head graph attention over the kept edges of a
+constant neighbour mask, heads concatenated), sum, mean and masked_select.
 Every primitive has an exact vector-Jacobian product, so any composition of
 them has exact gradients; the finite-difference checker in gradcheck.py
 verifies this.
@@ -15,8 +15,9 @@ The backward graph is made of nodes, not of tensors. A result with an input
 that needs a gradient gets a `_Node` holding, per such input, that input's
 node (a leaf tensor is its own node) and the vjp that maps the result's
 gradient to it; any other result, and every result made under no_grad, gets
-no node. A vjp keeps only what it reads: a shape, a dtype or a mask, or the
-input Tensors whose data its formula uses. So a Tensor's buffer lives while
+no node. A vjp keeps only what it reads: a shape, a dtype or a mask, the
+input Tensors whose data its formula uses, or the weights an attention node
+made, held as a Tensor. So a Tensor's buffer lives while
 the caller or some vjp holds that Tensor, and no longer: the output of a
 layer that only feeds a residual add, or a pre-activation that `relu`
 reduces to its mask, is freed once the caller drops it. No vjp holds its own
@@ -26,6 +27,7 @@ counted in memory.py and is freed without the cyclic garbage collector.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -319,28 +321,6 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _result(data, (a,), (lambda g: g.reshape(old),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_coerce(t) for t in tensors]
-    try:
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as e:
-        raise ShapeError("concat", str(e)) from None
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return vjp
-
-    return _result(data, tuple(tensors), tuple(make_vjp(i) for i in range(len(tensors))))
-
-
 # elementwise ---------------------------------------------------------------
 
 
@@ -469,57 +449,79 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
     return _result(out, (q, k, v), (grad_q, grad_k, grad_v)), weights
 
 
-def edge_softmax(e, keep: np.ndarray, slope: float) -> Tensor:
-    """Graph-attention weights computed on the kept edges only.
+def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray, slope: float) -> Tensor:
+    """Multi-head graph attention over the kept edges of a constant mask, as one node.
 
-    `e` is (T, N, 2): column 0 holds each node's score as the attending row,
-    column 1 its score as an attended column. For every kept edge (i, j) of
-    the constant (N, N) boolean mask the logit is
-    leaky_relu(e[t, i, 0] + e[t, j, 1], slope), and each row is softmaxed
-    over its kept edges. Returns the dense (T, N, N) weights, exactly zero
-    off the kept edges. Every row needs a kept entry.
+    Head k has features hs[k] (T, N, g) and scores es[k] (T, N, 2): column 0
+    holds each node's score as the attending row, column 1 as an attended
+    column. Each kept edge (i, j) of the (N, N) boolean mask has the logit
+    leaky_relu(e[t, i, 0] + e[t, j, 1], slope); each row is softmaxed over
+    its kept edges, which must include one, and the weights mix that head's
+    features. Returns the heads side by side, (T, N, H g).
 
-    Edges are taken in row-major order, so each row's edges are one segment
-    and the row max and sum are segment reductions; the backward is the
-    closed form y (g - sum_row g y) through the leaky slope, summed per row
-    into column 0 and per column into column 1.
+    Edges are taken in row-major order, so the row max and sum are segment
+    reductions. Each head's weights go into a dense (T, N, N) scratch,
+    counted while it lives, for one batched product. The vjps keep the
+    inputs and the (T, H, E) edge weights as a Tensor, rebuild the dense
+    weights by the same scatter and recompute the leaky sign from the same
+    sum, so the arithmetic, and the results, equal those of a per-head edge
+    softmax, dense matmul and concat bit for bit.
     """
-    e = _coerce(e)
+    hs, es = [_coerce(h) for h in hs], [_coerce(e) for e in es]
     keep = np.asarray(keep, dtype=bool)
-    t, n = e.data.shape[:2]
-    if e.data.shape != (t, n, 2) or keep.shape != (n, n):
-        raise ShapeError("edge_softmax",
-                         f"need scores (T, N, 2) and keep (N, N), got {e.data.shape} and {keep.shape}")
+    shape = hs[0].data.shape if hs else ()
+    if (len(shape) != 3 or len(es) != len(hs) or keep.shape != shape[1:2] * 2
+            or any(h.data.shape != shape for h in hs) or any(e.data.shape != shape[:2] + (2,) for e in es)):
+        raise ShapeError("graph_attention", "need per-head features (T, N, g), scores (T, N, 2) and keep "
+                         f"(N, N), got {[h.data.shape for h in hs]}, {[e.data.shape for e in es]} "
+                         f"and {keep.shape}")
+    t, n, width = shape
     row_counts = keep.sum(axis=1)
     if not row_counts.all():
-        raise ValueError(f"edge_softmax: row {int(np.argmin(row_counts))} of keep has no kept entry")
+        raise ValueError(f"graph_attention: row {int(np.argmin(row_counts))} of keep has no kept entry")
     flat = np.flatnonzero(keep)
     rows, cols = np.divmod(flat, n)
     starts = np.cumsum(row_counts) - row_counts  # first edge of each row
-    dtype = e.data.dtype
+    by_col = np.argsort(cols, kind="stable")  # each column's edges as one segment
+    kept_cols, col_starts = np.unique(cols[by_col], return_index=True)  # a column may have none
+    dtype = hs[0].data.dtype
     slope = dtype.type(slope)
-    s = e.data[:, rows, 0] + e.data[:, cols, 1]  # (T, E) logits
-    pos = s > 0
-    s = np.where(pos, s, s * slope)
-    s -= np.repeat(np.maximum.reduceat(s, starts, axis=1), row_counts, axis=1)
-    np.exp(s, out=s)
-    s /= np.repeat(np.add.reduceat(s, starts, axis=1), row_counts, axis=1)
-    y = np.zeros((t, n * n), dtype=dtype)
-    y[:, flat] = s
 
-    def vjp(g):
-        g_e = g[:, rows, cols]
+    def dense(s):  # one head's (T, N, N) weights, exactly zero off the kept edges
+        y = np.zeros((t, n * n), dtype=dtype)
+        y[:, flat] = s
+        return y.reshape(t, n, n)
+
+    out = np.empty((t, n, len(hs) * width), dtype=dtype)
+    weights = Tensor(np.empty((t, len(hs), flat.size), dtype=dtype))  # counted: the vjps read it
+    for k, (h, e) in enumerate(zip(hs, es)):
+        s = e.data[:, rows, 0] + e.data[:, cols, 1]  # (T, E) logits
+        s = np.where(s > 0, s, s * slope)
+        s -= np.repeat(np.maximum.reduceat(s, starts, axis=1), row_counts, axis=1)
+        np.exp(s, out=s)
+        s /= np.repeat(np.add.reduceat(s, starts, axis=1), row_counts, axis=1)
+        weights.data[:, k] = s
+        y = dense(s)
+        memory.note_alloc(y.nbytes)
+        out[:, :, k * width:(k + 1) * width] = y @ h.data
+        memory.note_free(y.nbytes)
+        del y
+
+    def grad_h(k, g):
+        return dense(weights.data[:, k]).swapaxes(-1, -2) @ g[:, :, k * width:(k + 1) * width]
+
+    def grad_e(k, g):
+        s, e = weights.data[:, k], es[k].data
+        g_e = (g[:, :, k * width:(k + 1) * width] @ hs[k].data.swapaxes(-1, -2))[:, rows, cols]
         ds = s * (g_e - np.repeat(np.add.reduceat(g_e * s, starts, axis=1), row_counts, axis=1))
-        ds = np.where(pos, ds, ds * slope)
-        by_col = np.argsort(cols, kind="stable")  # each column's edges as one segment
-        col_counts = np.bincount(cols, minlength=n)
-        used = col_counts > 0  # a column may have no kept entry
-        out = np.zeros((t, n, 2), dtype=dtype)
-        out[:, :, 0] = np.add.reduceat(ds, starts, axis=1)
-        out[:, used, 1] = np.add.reduceat(ds[:, by_col], (np.cumsum(col_counts) - col_counts)[used], axis=1)
-        return out
+        ds = np.where(e[:, rows, 0] + e[:, cols, 1] > 0, ds, ds * slope)
+        grad = np.zeros((t, n, 2), dtype=dtype)
+        grad[:, :, 0] = np.add.reduceat(ds, starts, axis=1)
+        grad[:, kept_cols, 1] = np.add.reduceat(ds[:, by_col], col_starts, axis=1)
+        return grad
 
-    return _result(y.reshape(t, n, n), (e,), (vjp,))
+    vjps = [functools.partial(grad, k) for grad in (grad_h, grad_e) for k in range(len(hs))]
+    return _result(out, (*hs, *es), vjps)
 
 
 # reductions ----------------------------------------------------------------

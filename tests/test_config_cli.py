@@ -1,17 +1,19 @@
 """Config parsing/round-trip and CLI dispatch, exit codes, artifacts."""
 
+import pickle
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from tcgpn import config
+from tcgpn.backtest import read_score_file
 from tcgpn.model import ModelConfig
 from tcgpn.train import TrainConfig
 from tcgpn.cli import dispatch
 from tcgpn.config import ConfigError
 from tcgpn.data import load_panel, split_by_fraction
-from tcgpn.graphs import build_distance_graph, load_graph
+from tcgpn.graphs import build_distance_graph, load_graph, load_industry_metadata
 
 
 def test_defaults_mirror_published_settings():
@@ -253,3 +255,19 @@ def test_non_utf8_input_names_file_and_line(synth_files, tmp_path, capsys, name,
     kind = "" if code == 3 else "ValueError: "
     assert capsys.readouterr().err == f"error: {kind}{bad}:{line}: not UTF-8\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, read", [
+    ("panel.csv", lambda path, _: load_panel(path)),
+    ("graph.txt", lambda path, ids: load_graph(path, ids)),
+    ("meta.csv", lambda path, _: load_industry_metadata(path)),
+    ("returns.csv", lambda path, _: read_score_file(path, "return")),
+    ("c.txt", lambda path, _: config.load_file(path)),
+])
+def test_byte_order_mark_parses_as_without_it(synth_files, tmp_path, name, read):
+    """A UTF-8 file that starts with EF BB BF, as spreadsheet programs save
+    CSV, reads exactly as the same file without it."""
+    bom = tmp_path / name
+    bom.write_bytes(b"\xef\xbb\xbf" + (synth_files / name).read_bytes())
+    ids = load_panel(synth_files / "panel.csv")[0].node_ids
+    assert pickle.dumps(read(bom, ids)) == pickle.dumps(read(synth_files / name, ids))

@@ -154,6 +154,23 @@ def test_gat_allocates_one_dense_attention_tensor_per_head(monkeypatch):
     assert sizes.count(dense) == cfg.gat_heads
 
 
+def test_gat_keeps_less_than_one_dense_attention_map_for_backward():
+    """In grad mode the stage keeps per-edge weights for backward: what it
+    leaves alive besides its output is less than one head's (T, N, N) map."""
+    cfg = tiny_cfg()
+    params = init_params(cfg, seed=6)
+    n = 60
+    ring = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    x = Tensor(np.random.default_rng(8).normal(size=(n, cfg.window, cfg.d_model)).astype(np.float32),
+               requires_grad=True)
+    before = memory.live_bytes()
+    z = gat_forward(x, ring | ring.T, params, cfg)
+    held = memory.live_bytes() - before - z.data.nbytes
+    assert 0 < held < cfg.window * n * n * x.data.itemsize
+    tc.sum(z).backward()
+    assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
+
+
 def test_gat_permutation_equivariant():
     cfg = tiny_cfg()
     params = init_params(cfg, seed=5)
@@ -487,9 +504,12 @@ def test_pretrain_forward_tensor_count_is_pinned(monkeypatch):
     # tc.attention keeps 2 tensors per block (its output and its weights) where the
     # composition built 14, and the acceptance model has 2 blocks (1 encoder, 1
     # decoder): 95 - 12 * 2 = 71. The GAT's one contiguous time-major copy adds 2
-    # (the copying reshape and its reshape back to (T, N, d)): 73.
+    # (the copying reshape and its reshape back to (T, N, d)): 73. tc.graph_attention
+    # counts its output, its (T, H, E) edge weights and each of the 2 heads' dense
+    # (T, N, N) scratch while it lives, 4 in all, where each head's edge softmax and
+    # matmul and the head concat made 2 * 2 + 1 = 5: 72.
     _compose_affine_primitives(monkeypatch)
-    assert (fused, _forward_tensor_count(monkeypatch)) == (73, 96)
+    assert (fused, _forward_tensor_count(monkeypatch)) == (72, 95)
 
 
 def test_attention_node_matches_its_composition_over_a_whole_sample(monkeypatch):

@@ -72,9 +72,10 @@ def test_shape_mismatch_names_op():
     ("div", lambda t: tc.sum(t / (t * t + 1.0))),
     ("transpose", lambda t: tc.sum(tc.transpose(t, (1, 0)) @ t)),
     ("reshape", lambda t: tc.sum(tc.reshape(t, (6,)) * tc.reshape(t, (6,)))),
-    ("edge_softmax", lambda t: tc.sum(tc.edge_softmax(  # column 2 has no kept entry
-        tc.reshape(t, (1, 3, 2)), np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0]], dtype=bool), 0.2)
-        * np.arange(9.0).reshape(3, 3))),
+    ("graph_attention", lambda t: tc.sum(tc.graph_attention(  # row 1 keeps only its self-loop, column 2 nothing
+        [tc.reshape(t, (1, 3, 2)), tc.reshape(t * t, (1, 3, 2))],
+        [tc.reshape(t, (1, 3, 2)) * 0.5, tc.reshape(tc.transpose(t, (1, 0)), (1, 3, 2))],
+        np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0]], dtype=bool), 0.2) * np.arange(12.0).reshape(1, 3, 4))),
 ])
 def test_elementwise_vjps_match_finite_differences(op, build):
     rng = np.random.default_rng(3)
@@ -198,19 +199,6 @@ def test_linear_allocates_one_tensor(monkeypatch):
         sizes.clear()
         tc.linear(x, w, bias)
         assert sizes == [5 * 3 * 6 * 8]
-
-
-def test_concat_grads():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(2, 3))
-
-    def build(t):
-        c = tc.concat([t, t * 2.0], axis=1)
-        return tc.sum(c * c)
-
-    grad, _ = analytic_grad(build, x)
-    num = numeric_grad(lambda arr: float(build(Tensor(arr)).data), x.copy())
-    assert np.allclose(grad, num, rtol=1e-5, atol=1e-7)
 
 
 def _self_attention(t: Tensor, decay: np.ndarray, heads: int) -> Tensor:
@@ -393,45 +381,88 @@ def test_attention_rejects_mismatched_shapes():
                      np.ones((5, 3)), 2)
 
 
-def _dense_edge_softmax(e: Tensor, keep: np.ndarray, slope: float) -> Tensor:
+def _dense_graph_attention(hs, es, keep: np.ndarray, slope: float) -> Tensor:
     """Reference: graph attention over every (i, j) pair, as the GAT ran it
-    before edge_softmax (transpose, add, leaky_relu, decay softmax(keep))."""
-    src = tc.matmul(e, np.array([[1.0], [0.0]]))  # (T, N, 1); exact, it adds zeros
-    dst = tc.transpose(tc.matmul(e, np.array([[0.0], [1.0]])), (0, 2, 1))  # (T, 1, N)
-    return _decay_softmax_node(tc.leaky_relu(src + dst, slope), keep)
+    before its kept-edge node: per head transpose, add, leaky_relu, decay
+    softmax(keep) and a dense matmul; the heads placed side by side by
+    one-hot products, which are exact."""
+    width = hs[0].shape[2]
+    out = 0.0
+    for k, (h, e) in enumerate(zip(hs, es)):
+        src = tc.matmul(e, np.array([[1.0], [0.0]]))  # (T, N, 1); exact, it adds zeros
+        dst = tc.transpose(tc.matmul(e, np.array([[0.0], [1.0]])), (0, 2, 1))  # (T, 1, N)
+        alpha = _decay_softmax_node(tc.leaky_relu(src + dst, slope), keep)
+        place = np.eye(width, len(hs) * width, k * width)  # head k's columns of the output
+        out = out + tc.matmul(tc.matmul(alpha, h), place)
+    return out
 
 
-def test_edge_softmax_equals_dense_composition():
+def _graph_attention_inputs(rng, keep, dtype):
+    t, n, heads, width = 4, keep.shape[0], 2, 3
+    hs = [Tensor(rng.normal(size=(t, n, width)).astype(dtype), requires_grad=True) for _ in range(heads)]
+    es = [Tensor((rng.normal(size=(t, n, 2)) * 3).astype(dtype), requires_grad=True) for _ in range(heads)]
+    return hs, es
+
+
+def test_graph_attention_equals_dense_composition():
     rng = np.random.default_rng(24)
     keep = (rng.uniform(size=(7, 7)) < 0.3) | np.eye(7, dtype=bool)
     keep[2] = np.arange(7) == 2  # a row with only its self-loop
+    keep[:, 4] = np.arange(7) == 4  # a column kept by its self-loop only
     assert not np.array_equal(keep, keep.T)
-    shape = (4, 7, 2)
     for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
-        raw = (rng.normal(size=shape) * 3).astype(dtype)
-        edge = tc.edge_softmax(Tensor(raw), keep, 0.2).data
-        assert edge.dtype == dtype and edge.shape == (4, 7, 7)
-        assert np.all(edge[:, ~keep] == 0.0)  # exactly zero, not rounding noise
-        assert np.abs(edge - _dense_edge_softmax(Tensor(raw), keep, 0.2).data).max() < tol
+        hs, es = _graph_attention_inputs(rng, keep, dtype)
+        upstream = rng.normal(size=(4, 7, 6)).astype(dtype)
+        runs = []
+        for attend in (tc.graph_attention, _dense_graph_attention):
+            for t in hs + es:
+                t.grad = None
+            out = attend(hs, es, keep, 0.2)
+            tc.sum(out * upstream).backward()
+            runs.append((out.data, [t.grad for t in hs + es]))
+        (node, node_grads), (dense, dense_grads) = runs
+        assert node.dtype == dtype and node.shape == (4, 7, 6)
+        assert np.abs(node - dense).max() < tol
+        for t, grad, ref in zip(hs + es, node_grads, dense_grads):
+            assert grad.dtype == dtype and grad.shape == t.shape
+            assert np.abs(grad - ref).max() < tol
 
-    raw = rng.normal(size=shape) * 3
-    upstream = rng.normal(size=(4, 7, 7))
-    grads = []
-    for softmax in (tc.edge_softmax, _dense_edge_softmax):
-        e = Tensor(raw.copy(), requires_grad=True)
-        tc.sum(softmax(e, keep, 0.2) * upstream).backward()
-        grads.append(e.grad)
-    assert grads[0].shape == shape
-    assert np.abs(grads[0] - grads[1]).max() < 1e-12
+
+def test_graph_attention_weights_are_exactly_zero_off_the_kept_edges():
+    keep = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=bool)
+    rng = np.random.default_rng(25)
+    hs, es = _graph_attention_inputs(rng, keep, np.float64)
+    hs[1].data[:, 2] = 1e300  # node 2's features reach only row 2, which keeps it
+    out = tc.graph_attention(hs, es, keep, 0.2).data
+    assert np.array_equal(out[:, 0, :3], hs[0].data[:, 0]) and np.array_equal(out[:, 0, 3:], hs[1].data[:, 0])
+    assert np.all(np.abs(out[:, :2]) < 1e3) and np.all(np.abs(out[:, 2, 3:]) > 1e200)
 
 
-def test_edge_softmax_rejects_row_without_kept_entry():
+def test_graph_attention_keeps_edge_weights_not_dense_maps():
+    keep = np.eye(6, dtype=bool) | np.roll(np.eye(6, dtype=bool), 1, axis=1)
+    rng = np.random.default_rng(26)
+    hs, es = _graph_attention_inputs(rng, keep, np.float32)
+    before = memory.live_bytes()
+    out = tc.graph_attention(hs, es, keep, 0.2)
+    edges = 4 * 2 * 12 * 4  # (T, H, E) float32 weights, E = 12 kept entries
+    assert memory.live_bytes() - before == out.data.nbytes + edges
+    del out
+    assert memory.live_bytes() == before
+
+
+def test_graph_attention_rejects_row_without_kept_entry():
     keep = np.eye(3, dtype=bool)
     keep[1, 1] = False
-    with pytest.raises(ValueError, match="row 1"):
-        tc.edge_softmax(Tensor(np.zeros((2, 3, 2))), keep, 0.2)
-    with pytest.raises(ShapeError, match="edge_softmax"):
-        tc.edge_softmax(Tensor(np.zeros((2, 3, 1))), np.eye(3, dtype=bool), 0.2)
+    h, e = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 2)))
+    with pytest.raises(ValueError, match="graph_attention: row 1"):
+        tc.graph_attention([h], [e], keep, 0.2)
+    for hs, es, mask in (([h], [Tensor(np.zeros((2, 3, 1)))], np.eye(3)),  # scores not (T, N, 2)
+                         ([h, h], [e], np.eye(3)),  # a head without scores
+                         ([h, Tensor(np.zeros((2, 3, 5)))], [e, e], np.eye(3)),  # heads of unequal width
+                         ([h], [e], np.eye(4)),  # keep not (N, N)
+                         ([], [], np.eye(3))):
+        with pytest.raises(ShapeError, match="graph_attention"):
+            tc.graph_attention(hs, es, mask, 0.2)
 
 
 def _nine_node_layer_norm(x: Tensor, eps: float, gamma, beta) -> Tensor:
