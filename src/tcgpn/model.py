@@ -215,18 +215,26 @@ def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,
     query projection, attention rows, output projection, both residuals and
     layer norms, and the feed-forward) runs on `queries` (N, S, d), which
     defaults to x; `decay` then has S rows, (S, T) or per node (N, 1, S, T).
+
+    Each activation is dropped after its last reader: the projections and
+    attention weights before the output projection, the attention output
+    after it, the hidden layers inside the feed-forward. Under no_grad
+    nothing else holds them, so the feed-forward runs without the attention
+    stage's arrays; in grad mode the vjps keep what they read, as before.
     """
     q_in = x if queries is None else queries
-    q = tc.linear(q_in, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"])
-    k = tc.linear(x, params[f"{prefix}.attn.wk"])
-    v = tc.linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"])
-    mixed, weights = tc.attention(q, k, v, decay, cfg.tgm_heads)  # weights (N, H, S, T)
+    mixed, weights = tc.attention(  # weights (N, H, S, T)
+        tc.linear(q_in, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]),
+        tc.linear(x, params[f"{prefix}.attn.wk"]),
+        tc.linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]), decay, cfg.tgm_heads)
     if attention_out is not None:
         attention_out.append(weights.data.copy())
+    del weights
     mixed = tc.linear(mixed, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
     x1 = tc.normalize(q_in + mixed, 1e-5, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
-    inner = tc.relu(tc.linear(x1, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"]))
-    ffn = tc.linear(inner, params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
+    del mixed
+    ffn = tc.linear(tc.relu(tc.linear(x1, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"])),
+                    params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
     return tc.normalize(x1 + ffn, 1e-5, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
 
 

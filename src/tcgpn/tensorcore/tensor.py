@@ -371,6 +371,19 @@ def leaky_relu(a, slope: float = 0.2) -> Tensor:
     return _result(np.where(pos, a.data, a.data * slope), (a,), (lambda g: np.where(pos, g, g * slope),))
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """np.max(a, axis=-1, keepdims=True), exactly, by halving passes: a max
+    does not depend on order, and over rows as short as a window a few
+    elementwise maxima run faster than the row reduction."""
+    while a.shape[-1] > 1:
+        half = a.shape[-1] // 2
+        m = np.maximum(a[..., :half], a[..., half:2 * half])
+        if a.shape[-1] % 2:
+            np.maximum(m[..., :1], a[..., -1:], out=m[..., :1])
+        a = m
+    return a
+
+
 def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
     """Multi-head attention under a non-negative constant decay, as one node.
 
@@ -384,9 +397,12 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
     gradient. Each row needs one positive weight, or it comes out NaN.
 
     Returns the merged output and the (N, heads, S, T) weights, a constant
-    tensor. The vjps keep q, k, v and the weights, the only array computed
-    here that backward reads. The scores gradient is computed once, for the
-    q and k vjps. The arithmetic is that of the head-split, matmul, scale,
+    tensor. The softmax runs in place in the scores buffer, which becomes
+    the weights, so the forward holds one (N, heads, S, T) array; the
+    head-mixing products write straight into merged (N, rows, d) arrays.
+    The vjps keep q, k, v and the weights, the only array computed here
+    that backward reads. The scores gradient is computed once, for the q
+    and k vjps. The arithmetic is that of the head-split, matmul, scale,
     softmax, matmul and merge composition, on the same view layouts and in
     the same order, so results are bitwise equal to it.
     """
@@ -404,24 +420,24 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
     def split(a, rows):  # (N, rows, d) -> (N, H, rows, dk) view
         return a.reshape(n, rows, heads, dk).transpose(0, 2, 1, 3)
 
-    def merge(a, rows):  # (N, H, rows, dk) -> (N, rows, d) copy
-        return a.transpose(0, 2, 1, 3).reshape(n, rows, d)
+    def merged(a, b, rows):  # a @ b (N, H, rows, dk), written through a split view of a new (N, rows, d)
+        out = np.empty((n, rows, d), dtype=np.result_type(a, b))
+        np.matmul(a, b, out=split(out, rows))
+        return out
 
     decay = np.asarray(decay)
-    scores = split(q.data, s) @ split(k.data, t).transpose(0, 1, 3, 2)
-    scores *= scale
+    y = split(q.data, s) @ split(k.data, t).transpose(0, 1, 3, 2)
+    y *= scale
     try:
-        y = np.where(decay > 0, scores, dtype.type(-np.inf))
-    except ValueError as e:
-        raise ShapeError("attention", str(e)) from None
-    del scores
-    if y.shape != (n, heads, s, t):
-        raise ShapeError("attention", f"decay {decay.shape} does not broadcast to {(n, heads, s, t)}")
-    y -= np.max(y, axis=-1, keepdims=True)
+        np.copyto(y, dtype.type(-np.inf), where=~(decay > 0))
+    except ValueError:
+        raise ShapeError("attention", f"decay {decay.shape} does not broadcast to "
+                                      f"{(n, heads, s, t)}") from None
+    y -= _row_max(y)
     np.exp(y, out=y)
-    y *= decay.astype(dtype)
+    y *= decay.astype(dtype, copy=False)
     y /= y.sum(axis=-1, keepdims=True)
-    out = merge(y @ split(v.data, t), s)
+    out = merged(y, split(v.data, t), s)
     weights = Tensor(y)  # the vjps read y through `weights`, which keeps it counted
     held = []  # the scores gradient, from the q vjp to the k vjp
 
@@ -438,13 +454,13 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
         ds = scores_grad(g)
         if k.requires_grad:
             held.append(ds)
-        return merge(ds @ split(k.data, t), s)
+        return merged(ds, split(k.data, t), s)
 
-    def grad_k(g):
-        return merge(np.transpose(split(q.data, s).swapaxes(-1, -2) @ scores_grad(g), (0, 1, 3, 2)), t)
+    def grad_k(g):  # (N, H, dk, T) -> (N, T, d)
+        return np.transpose(split(q.data, s).swapaxes(-1, -2) @ scores_grad(g), (0, 3, 1, 2)).reshape(n, t, d)
 
     def grad_v(g):
-        return merge(weights.data.swapaxes(-1, -2) @ split(g, s), t)
+        return merged(weights.data.swapaxes(-1, -2), split(g, s), t)
 
     return _result(out, (q, k, v), (grad_q, grad_k, grad_v)), weights
 

@@ -275,10 +275,10 @@ def predict(params: ParamStore, model_cfg: model.ModelConfig,
     conn = graph.connectivity()
     rows = []
     with no_grad():
-        for window in windows:
-            out = model.encoder_forward(window.panel, conn, params, model_cfg)
-            scores = model.finetune_head(out, params, model_cfg)
-            rows.append((window.end_date, list(window.node_ids), np.asarray(scores.data).copy()))
+        for window in windows:  # nothing of one window's forward outlives its statement
+            scores = model.finetune_head(model.encoder_forward(window.panel, conn, params, model_cfg),
+                                         params, model_cfg).data.copy()
+            rows.append((window.end_date, list(window.node_ids), scores))
     return rows
 
 
@@ -319,9 +319,9 @@ def masked_reconstruction_mse(params: ParamStore, model_cfg: model.ModelConfig,
             mask = sample.panel.mask_positions
             if not mask.any():
                 continue
-            out = model.encoder_forward(sample.panel.values, sample.graph.connectivity(),
-                                        params, model_cfg)
-            x_r = model.temporal_decoder(out, params, model_cfg, mask).data
+            o_l = model.encoder_forward(sample.panel.values, sample.graph.connectivity(), params, model_cfg)
+            x_r = model.temporal_decoder(o_l, params, model_cfg, mask).data
+            del o_l  # free this window's encodings before the next one's forward
             x = sample.original_values
             model_errs.append(float(np.mean((x_r[mask] - x[mask]) ** 2)))
             imputed = np.array([x[n][~mask[n]].mean(axis=0) for n in range(x.shape[0])])

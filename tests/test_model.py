@@ -626,6 +626,26 @@ def test_tgm_block_queries_default_to_x(dtype):
     assert np.array_equal(plain, queried)
 
 
+def test_no_grad_tgm_block_frees_attention_before_feed_forward():
+    """Under no_grad the block's counted peak above its input is that of the
+    attention stage or of the feed-forward, not of both together."""
+    cfg = tiny_cfg()
+    n, t, d = 6, cfg.window, cfg.d_model
+    params = init_params(cfg, seed=19)
+    x = Tensor(np.random.default_rng(9).normal(size=(n, t, d)))
+    decay = gaussian_mask(cfg.window, cfg.sigma_h)
+    memory.reset_peak()
+    base = memory.live_bytes()
+    with no_grad():
+        out = tgm_block(x, params, "enc.block0", cfg, decay)
+    peak = memory.peak_bytes() - base
+    row = n * t * x.data.itemsize  # bytes of one (N, T, 1) slice
+    attention_stage = 4 * row * d + row * cfg.tgm_heads * t  # q, k, v, weights and output
+    feed_forward = row * d + 2 * row * cfg.ffn_hidden  # x1 and two hidden layers
+    assert out.shape == x.shape
+    assert peak <= max(attention_stage, feed_forward), (peak, attention_stage, feed_forward)
+
+
 def test_temporal_decoder_runs_query_side_on_masked_steps_only(monkeypatch):
     cfg = ModelConfig(**ACCEPT_MODEL)
     sample, _, _ = checks.make_check_sample(cfg, 20, seed=5)

@@ -369,6 +369,24 @@ def test_attention_keeps_only_its_weights_counted():
     assert memory.live_bytes() == before
 
 
+def test_attention_forward_keeps_one_copy_of_the_scores():
+    """Under no_grad the decay mask and softmax run in place in the scores
+    buffer, which becomes the weights: no second (N, H, S, T) array."""
+    import tracemalloc
+    rng = np.random.default_rng(27)
+    q, k, v = (Tensor(a) for a in _attention_inputs(rng, 50, 30, 30, 32, np.float64))
+    decay = np.tril(np.ones((30, 30)))
+    tracemalloc.start()
+    try:
+        with tc.no_grad():
+            out, weights = tc.attention(q, k, v, decay, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert weights.shape == (50, 4, 30, 30) and out.shape == (50, 30, 32)
+    assert peak < 2 * weights.data.nbytes, peak / weights.data.nbytes
+
+
 def test_attention_rejects_mismatched_shapes():
     with pytest.raises(ShapeError, match="attention"):
         tc.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 6))),

@@ -170,6 +170,23 @@ def test_predict_deterministic_and_complete(tmp_path):
     assert len(lines) - 1 == len(wval) * parts[0].n_nodes
 
 
+def test_predict_peak_does_not_grow_with_window_count():
+    # one window's encodings and scores are freed before the next window's forward
+    parts, _, _, graph, cfg = mini_setup()
+    windows = window_samples(parts[0], cfg.window, 1)[:4]
+    params = model.init_params(cfg, seed=4)
+
+    def peak(count: int) -> int:
+        gc.collect()
+        memory.reset_peak()
+        base = memory.live_bytes()
+        train.predict(params, cfg, windows[:count], graph)
+        return memory.peak_bytes() - base
+
+    assert len(windows) == 4
+    assert peak(1) == peak(2) == peak(4)
+
+
 def test_predict_rejects_node_mismatch():
     _, wtrain, wval, graph, cfg = mini_setup()
     params = model.init_params(cfg, seed=2)
