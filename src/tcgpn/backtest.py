@@ -23,6 +23,7 @@ from .data import check_date
 from .tensorcore.checkpoint import atomic_write, open_text
 
 TRADING_DAYS_PER_YEAR = 252
+PNL_SVG_SIZE = (720, 320, 40)  # pnl.svg's width, height and plot margin in pixels
 
 
 class ConstantInputError(ValueError):
@@ -238,12 +239,12 @@ def write_ic_csv(path: str | Path, dates: list[str], ics: list[float]) -> None:
         writer.writerows([d, repr(float(v))] for d, v in zip(dates, ics))
 
 
-def write_pnl_svg(path: str | Path, pnl: PnlSeries, width: int = 720, height: int = 320) -> None:
+def write_pnl_svg(path: str | Path, pnl: PnlSeries) -> None:
     """Static cumulative-PnL curve as a standalone SVG polyline."""
     cum = np.concatenate([[0.0], pnl.cumulative])
     lo, hi = float(cum.min()), float(cum.max())
     span = (hi - lo) or 1.0
-    margin = 40
+    width, height, margin = PNL_SVG_SIZE
     xs = np.linspace(margin, width - margin, len(cum))
     ys = height - margin - (cum - lo) / span * (height - 2 * margin)
     points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))

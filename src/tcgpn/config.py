@@ -54,10 +54,10 @@ KEY_TABLE: dict[str, Key] = {k.name: k for k in [
     Key("gat_dim", int, 32, "graph attention output dim per head"),
     Key("tgm_blocks", int, 3, "encoder blocks (n_l)"),
     Key("tgm_heads", int, 8, "temporal attention heads (n_h)"),
-    Key("sigma_h", float, 7.5, "Gaussian decay width"),
+    Key("sigma_h", float, 7.5, "Gaussian decay width (fixed on the CLI; ModelConfig alone derives window/4)"),
     Key("d_a", int, 32, "adjacency decoder factor width"),
-    Key("ffn_hidden", int, 256, "feed-forward hidden width"),
-    Key("head_hidden", int, 256, "prediction head hidden width"),
+    Key("ffn_hidden", int, 256, "feed-forward hidden width (fixed on the CLI; ModelConfig alone derives 2*d_model)"),
+    Key("head_hidden", int, 256, "prediction head hidden width (fixed on the CLI; ModelConfig alone derives 2*d_model)"),
     Key("leaky_slope", float, 0.2, "LeakyReLU negative slope"),
     Key("decoder_blocks", int, 1, "temporal decoder depth"),
     Key("use_gat", bool, True, "keep the graph attention stage"),

@@ -21,6 +21,8 @@ import numpy as np
 from .graphs import CorrelationGraph
 from .tensorcore.checkpoint import atomic_write, open_text
 
+SYNTH_PHI, SYNTH_START_DATE = 0.95, "2015-01-01"  # each synthetic leader's AR(1) coefficient; first date
+
 
 @dataclass
 class TimePanel:
@@ -89,8 +91,6 @@ class SyntheticSpec:
     noise_std: float = 0.0
     length: int = 600
     seed: int = 0
-    phi: float = 0.95
-    start_date: str = "2015-01-01"
 
     def __post_init__(self):
         if self.lag < 1:
@@ -262,7 +262,7 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[TimePanel, CorrelationGraph]:
     (plus noise); the ground-truth graph links cluster members with weight 1.
 
     Features are stationary one-step differences of the series plus causal
-    rolling transforms of those differences; with phi near 1 the raw level
+    rolling transforms of those differences; with SYNTH_PHI near 1 the raw level
     wanders far outside the training range on held-out dates, so it is not
     exposed as a feature. Targets are the changes themselves, indexed by
     their realization date.
@@ -278,7 +278,7 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[TimePanel, CorrelationGraph]:
         path = np.zeros(d + lag)
         innov = rng.normal(0.0, 1.0, size=d + lag)
         for t in range(1, d + lag):
-            path[t] = spec.phi * path[t - 1] + innov[t]
+            path[t] = SYNTH_PHI * path[t - 1] + innov[t]
         members = range(pos, pos + spec.nodes_per_cluster)
         for k, i in enumerate(members):
             if k == 0:
@@ -305,7 +305,7 @@ def gen_synthetic(spec: SyntheticSpec) -> tuple[TimePanel, CorrelationGraph]:
         roll_std[:, t] = change[:, lo:t + 1].std(axis=1)
     features = np.stack([change, lagged, roll_mean, roll_std], axis=2)
 
-    start = np.datetime64(spec.start_date)
+    start = np.datetime64(SYNTH_START_DATE)
     dates = [str(start + np.timedelta64(i, "D")) for i in range(d)]
     panel = TimePanel(node_ids=node_ids, dates=dates, features=features,
                       targets=change,

@@ -115,16 +115,11 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ParamStore:
-    """Fan-in uniform weights, zero biases, unit layer-norm gains; creation
-    order is fixed so a seed fully determines the initialization."""
+    """Ones for layer-norm gains (`*.gamma`), zeros for every other 1-D parameter, fan-in
+    uniform for the rest; creation order is fixed so a seed fully determines the initialization."""
     store = ParamStore(seed=seed, dtype=dtype)
     for path, shape in param_shapes(cfg).items():
-        if path.endswith(("gamma",)):
-            store.add(path, shape, "ones")
-        elif path.endswith(("bias", "beta", ".b1", ".b2", ".bq", ".bv", ".bo")):
-            store.add(path, shape, "zeros")
-        else:
-            store.add(path, shape, "fan_in")
+        store.add(path, shape, "ones" if path.endswith(".gamma") else "zeros" if len(shape) == 1 else "fan_in")
     return store
 
 
@@ -180,12 +175,12 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
     with shared weights. Neighbor sets come from nonzero adjacency entries
     plus an always-present self-loop; per-head aggregations are concatenated.
 
-    The stage runs time-major: x goes to (T, N, d) once, and the result
-    comes back to (N, T, .). Each head projects h = x W (T, N, g) and scores
-    both halves of its attention vector in one product, e = h @ [a_src a_dst]
-    of shape (T, N, 2). One `tc.graph_attention` node softmaxes every head's
-    logits on the kept edges and aggregates; it keeps (T, H, E) edge weights
-    for backward, not dense (T, N, N) maps.
+    The stage runs time-major: x goes to (T, N, d) once. Each head projects
+    h = x W (T, N, g) and scores both halves of its attention vector in one
+    product, e = h @ [a_src a_dst] of shape (T, N, 2). The stage ends at the
+    `tc.graph_attention` node, the whole GAT layer with each head's LeakyReLU
+    and a node-major (N, T, H g) output; it keeps (T, H, E) edge weights for
+    backward, not dense (T, N, N) maps, and nothing under no_grad.
     """
     n = x.shape[0]
     if connectivity.shape != (n, n):
@@ -200,8 +195,7 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
         hs.append(tc.linear(x_t, params[f"gat.h{k}.weight"]))  # (T, N, g)
         a = tc.transpose(tc.reshape(params[f"gat.h{k}.attn"], (2, cfg.gat_dim)), (1, 0))  # (g, 2)
         es.append(tc.linear(hs[-1], a))  # (T, N, 2)
-    z = tc.graph_attention(hs, es, keep, cfg.leaky_slope)  # (T, N, H g)
-    return tc.transpose(tc.leaky_relu(z, cfg.leaky_slope), (1, 0, 2))
+    return tc.graph_attention(hs, es, keep, cfg.leaky_slope)  # (N, T, H g)
 
 
 def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,

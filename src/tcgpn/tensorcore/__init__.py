@@ -13,7 +13,6 @@ from .tensor import (
     attention,
     div,
     graph_attention,
-    leaky_relu,
     linear,
     masked_select,
     matmul,
@@ -42,7 +41,6 @@ __all__ = [
     "forward_backward",
     "grad_check",
     "graph_attention",
-    "leaky_relu",
     "linear",
     "load_checkpoint",
     "masked_select",

@@ -1,15 +1,15 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-The primitive set is closed, 16 in all: add, sub, mul, div, matmul,
+The primitive set is closed, 15 in all: add, sub, mul, div, matmul,
 linear (a stacked input times one matrix plus an optional bias, as one GEMM),
 transpose, reshape, normalize (zero mean, unit variance over the last axis,
-with an optional affine gain and shift), relu, leaky_relu, attention
-(multi-head attention whose softmax is reweighted by a constant decay array),
-graph_attention (multi-head graph attention over the kept edges of a
-constant neighbour mask, heads concatenated), sum, mean and masked_select.
-Every primitive has an exact vector-Jacobian product, so any composition of
-them has exact gradients; the finite-difference checker in gradcheck.py
-verifies this.
+with an optional affine gain and shift), relu, attention (multi-head
+attention whose softmax is reweighted by a constant decay array),
+graph_attention (a multi-head GAT layer, LeakyReLU included, over the kept
+edges of a constant neighbour mask), sum, mean and masked_select. Every
+primitive has an exact vector-Jacobian product, so any composition of them
+has exact gradients; the finite-difference checker in gradcheck.py verifies
+this.
 
 The backward graph is made of nodes, not of tensors. A result with an input
 that needs a gradient gets a `_Node` holding, per such input, that input's
@@ -364,13 +364,6 @@ def relu(a) -> Tensor:
     return _result(a.data * mask, (a,), (lambda g: g * mask,))
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    a = _coerce(a)
-    pos = a.data > 0
-    slope = a.data.dtype.type(slope)
-    return _result(np.where(pos, a.data, a.data * slope), (a,), (lambda g: np.where(pos, g, g * slope),))
-
-
 def _row_max(a: np.ndarray) -> np.ndarray:
     """np.max(a, axis=-1, keepdims=True), exactly, by halving passes: a max
     does not depend on order, and over rows as short as a window a few
@@ -466,22 +459,23 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
 
 
 def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray, slope: float) -> Tensor:
-    """Multi-head graph attention over the kept edges of a constant mask, as one node.
+    """A multi-head graph attention (GAT) layer over the kept edges of a constant mask, as one node.
 
     Head k has features hs[k] (T, N, g) and scores es[k] (T, N, 2): column 0
     holds each node's score as the attending row, column 1 as an attended
     column. Each kept edge (i, j) of the (N, N) boolean mask has the logit
-    leaky_relu(e[t, i, 0] + e[t, j, 1], slope); each row is softmaxed over
+    LeakyReLU(e[t, i, 0] + e[t, j, 1], slope); each row is softmaxed over
     its kept edges, which must include one, and the weights mix that head's
-    features. Returns the heads side by side, (T, N, H g).
+    features. Returns the LeakyReLU of the heads side by side, node-major (N, T, H g).
 
     Edges are taken in row-major order, so the row max and sum are segment
     reductions. Each head's weights go into a dense (T, N, N) scratch,
-    counted while it lives, for one batched product. The vjps keep the
-    inputs and the (T, H, E) edge weights as a Tensor, rebuild the dense
-    weights by the same scatter and recompute the leaky sign from the same
-    sum, so the arithmetic, and the results, equal those of a per-head edge
-    softmax, dense matmul and concat bit for bit.
+    counted while it lives, for one batched product. The vjps (none under
+    no_grad) keep the inputs, the output's sign mask and the (T, H, E) edge
+    weights as a Tensor, share one time-major pre-activation gradient per
+    backward, rebuild dense weights by the same scatter and recompute the
+    logits' sign, so results equal a per-head edge softmax, dense matmul,
+    concat, LeakyReLU and node-major transpose bit for bit.
     """
     hs, es = [_coerce(h) for h in hs], [_coerce(e) for e in es]
     keep = np.asarray(keep, dtype=bool)
@@ -502,33 +496,45 @@ def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray
     kept_cols, col_starts = np.unique(cols[by_col], return_index=True)  # a column may have none
     dtype = hs[0].data.dtype
     slope = dtype.type(slope)
+    users = _grad_enabled and np.count_nonzero([p.requires_grad for p in (*hs, *es)])  # vjps backward calls
 
     def dense(s):  # one head's (T, N, N) weights, exactly zero off the kept edges
         y = np.zeros((t, n * n), dtype=dtype)
         y[:, flat] = s
         return y.reshape(t, n, n)
 
-    out = np.empty((t, n, len(hs) * width), dtype=dtype)
-    weights = Tensor(np.empty((t, len(hs), flat.size), dtype=dtype))  # counted: the vjps read it
+    out = np.empty((n, t, len(hs) * width), dtype=dtype)
+    pos = np.empty((t, n, len(hs) * width), dtype=bool)  # each pre-activation's sign, time-major
+    weights = Tensor(np.empty((t, len(hs), flat.size), dtype=dtype)) if users else None  # the vjps read it
     for k, (h, e) in enumerate(zip(hs, es)):
         s = e.data[:, rows, 0] + e.data[:, cols, 1]  # (T, E) logits
         s = np.where(s > 0, s, s * slope)
         s -= np.repeat(np.maximum.reduceat(s, starts, axis=1), row_counts, axis=1)
         np.exp(s, out=s)
         s /= np.repeat(np.add.reduceat(s, starts, axis=1), row_counts, axis=1)
-        weights.data[:, k] = s
+        if users:
+            weights.data[:, k] = s
         y = dense(s)
         memory.note_alloc(y.nbytes)
-        out[:, :, k * width:(k + 1) * width] = y @ h.data
+        z = y @ h.data  # (T, N, g) pre-activations
         memory.note_free(y.nbytes)
         del y
+        head = np.s_[:, :, k * width:(k + 1) * width]
+        pos[head] = z > 0
+        out.transpose(1, 0, 2)[head] = np.where(pos[head], z, z * slope)
+    pending = []  # the pre-activation gradient, one reference per vjp still to run
+
+    def grad_z(k, g):  # head k's columns of np.where(pos, gᵀ, gᵀ slope), derived once per backward
+        if not pending:
+            pending.extend([np.where(pos, g.transpose(1, 0, 2), g.transpose(1, 0, 2) * slope)] * users)
+        return pending.pop()[:, :, k * width:(k + 1) * width]
 
     def grad_h(k, g):
-        return dense(weights.data[:, k]).swapaxes(-1, -2) @ g[:, :, k * width:(k + 1) * width]
+        return dense(weights.data[:, k]).swapaxes(-1, -2) @ grad_z(k, g)
 
     def grad_e(k, g):
         s, e = weights.data[:, k], es[k].data
-        g_e = (g[:, :, k * width:(k + 1) * width] @ hs[k].data.swapaxes(-1, -2))[:, rows, cols]
+        g_e = (grad_z(k, g) @ hs[k].data.swapaxes(-1, -2))[:, rows, cols]
         ds = s * (g_e - np.repeat(np.add.reduceat(g_e * s, starts, axis=1), row_counts, axis=1))
         ds = np.where(e[:, rows, 0] + e[:, cols, 1] > 0, ds, ds * slope)
         grad = np.zeros((t, n, 2), dtype=dtype)

@@ -74,6 +74,20 @@ def test_converters_build_valid_configs():
     assert ft.epochs == values["finetune_epochs"]
 
 
+def test_cli_fixes_the_widths_and_decay_that_model_config_derives():
+    """sigma_h, ffn_hidden and head_hidden have two owners. The key table fixes
+    them at 7.5, 256 and 256 whatever window and d_model are; ModelConfig on
+    its own derives window / 4 and 2 * d_model. This pins the CLI side, which
+    gives the README's --d_model 32 example an FFN eight times its width."""
+    values = config.resolve(None, ["--d_model", "32", "--window", "60"])
+    cli = config.to_model_config(values, n_features=4)
+    assert (cli.sigma_h, cli.ffn_hidden, cli.head_hidden) == (7.5, 256, 256)
+    own = ModelConfig(n_features=4, d_model=32, window=60)
+    assert (own.sigma_h, own.ffn_hidden, own.head_hidden) == (15.0, 64, 64)
+    for key in ("sigma_h", "ffn_hidden", "head_hidden"):
+        assert "ModelConfig alone derives" in config.KEY_TABLE[key].help
+
+
 def test_every_config_field_reaches_the_built_config():
     # a non-default value for every field: one the converters drop reads its default
     model_keys = {"d_model": 16, "gat_heads": 2, "gat_dim": 8, "tgm_blocks": 2, "tgm_heads": 4,

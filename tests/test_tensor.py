@@ -26,6 +26,29 @@ def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return g
 
 
+def _finite_difference_input() -> np.ndarray:
+    return np.random.default_rng(3).normal(size=(2, 3)) + 0.1
+
+
+def _graph_attention_case(t: Tensor) -> Tensor:
+    """Two heads of width 2 over 3 nodes, one step: row 1 keeps only its
+    self-loop, column 2 nothing."""
+    return tc.graph_attention(
+        [tc.reshape(t, (1, 3, 2)), tc.reshape(t * t - 1.0, (1, 3, 2))],
+        [tc.reshape(t, (1, 3, 2)) * 0.5, tc.reshape(tc.transpose(t, (1, 0)), (1, 3, 2))],
+        np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0]], dtype=bool), 0.2)
+
+
+def test_graph_attention_case_probes_both_sides_of_its_leaky_relu():
+    """The finite-difference case above reaches both branches of the output
+    LeakyReLU in every head, away from the kink: the output has the sign of
+    the pre-activation, and each head's columns hold both signs."""
+    out = _graph_attention_case(Tensor(_finite_difference_input())).data
+    assert out.shape == (3, 1, 4)
+    for head in (out[..., :2], out[..., 2:]):
+        assert (head > 0.01).any() and (head < -0.01).any()
+
+
 def analytic_grad(op, x: np.ndarray):
     t = Tensor(x.copy(), requires_grad=True)
     loss = op(t)
@@ -65,21 +88,16 @@ def test_shape_mismatch_names_op():
     ("affine_normalize", lambda t: tc.sum(  # gamma and beta depend on t too, so all three vjps are probed
         tc.normalize(t, 1e-5, tc.mean(t, axis=0), tc.sum(t * t, axis=0)) * np.array([1.0, -2.0, 0.5]))),
     ("relu", lambda t: tc.sum(tc.relu(t) * tc.relu(t))),
-    ("leaky", lambda t: tc.sum(tc.leaky_relu(t, 0.2) * t)),
     ("softmax", lambda t: tc.sum(_self_attention(t, np.ones((2, 2)), 1) * t)),
     ("attention", lambda t: tc.sum(_self_attention(t, np.array([[1.0, 0.0], [0.5, 1.0]]), 3) * t)),
     ("mean", lambda t: tc.mean(t * t)),
     ("div", lambda t: tc.sum(t / (t * t + 1.0))),
     ("transpose", lambda t: tc.sum(tc.transpose(t, (1, 0)) @ t)),
     ("reshape", lambda t: tc.sum(tc.reshape(t, (6,)) * tc.reshape(t, (6,)))),
-    ("graph_attention", lambda t: tc.sum(tc.graph_attention(  # row 1 keeps only its self-loop, column 2 nothing
-        [tc.reshape(t, (1, 3, 2)), tc.reshape(t * t, (1, 3, 2))],
-        [tc.reshape(t, (1, 3, 2)) * 0.5, tc.reshape(tc.transpose(t, (1, 0)), (1, 3, 2))],
-        np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0]], dtype=bool), 0.2) * np.arange(12.0).reshape(1, 3, 4))),
+    ("graph_attention", lambda t: tc.sum(_graph_attention_case(t) * np.arange(12.0).reshape(3, 1, 4))),
 ])
 def test_elementwise_vjps_match_finite_differences(op, build):
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 3)) + 0.1
+    x = _finite_difference_input()
     grad, _ = analytic_grad(build, x)
 
     def scalar_fn(arr):
@@ -399,20 +417,26 @@ def test_attention_rejects_mismatched_shapes():
                      np.ones((5, 3)), 2)
 
 
+def _leaky_relu(z: Tensor, slope: float) -> Tensor:
+    """LeakyReLU as a product with its constant slope mask, which is exact."""
+    return tc.mul(z, np.where(z.data > 0, 1.0, slope))
+
+
 def _dense_graph_attention(hs, es, keep: np.ndarray, slope: float) -> Tensor:
     """Reference: graph attention over every (i, j) pair, as the GAT ran it
-    before its kept-edge node: per head transpose, add, leaky_relu, decay
+    before its kept-edge node: per head transpose, add, LeakyReLU, decay
     softmax(keep) and a dense matmul; the heads placed side by side by
-    one-hot products, which are exact."""
+    one-hot products, which are exact; then the output LeakyReLU and a
+    transpose to node-major."""
     width = hs[0].shape[2]
     out = 0.0
     for k, (h, e) in enumerate(zip(hs, es)):
         src = tc.matmul(e, np.array([[1.0], [0.0]]))  # (T, N, 1); exact, it adds zeros
         dst = tc.transpose(tc.matmul(e, np.array([[0.0], [1.0]])), (0, 2, 1))  # (T, 1, N)
-        alpha = _decay_softmax_node(tc.leaky_relu(src + dst, slope), keep)
+        alpha = _decay_softmax_node(_leaky_relu(src + dst, slope), keep)
         place = np.eye(width, len(hs) * width, k * width)  # head k's columns of the output
         out = out + tc.matmul(tc.matmul(alpha, h), place)
-    return out
+    return tc.transpose(_leaky_relu(out, slope), (1, 0, 2))
 
 
 def _graph_attention_inputs(rng, keep, dtype):
@@ -430,7 +454,7 @@ def test_graph_attention_equals_dense_composition():
     assert not np.array_equal(keep, keep.T)
     for dtype, tol in ((np.float32, 1e-6), (np.float64, 1e-12)):
         hs, es = _graph_attention_inputs(rng, keep, dtype)
-        upstream = rng.normal(size=(4, 7, 6)).astype(dtype)
+        upstream = rng.normal(size=(7, 4, 6)).astype(dtype)
         runs = []
         for attend in (tc.graph_attention, _dense_graph_attention):
             for t in hs + es:
@@ -439,7 +463,7 @@ def test_graph_attention_equals_dense_composition():
             tc.sum(out * upstream).backward()
             runs.append((out.data, [t.grad for t in hs + es]))
         (node, node_grads), (dense, dense_grads) = runs
-        assert node.dtype == dtype and node.shape == (4, 7, 6)
+        assert node.dtype == dtype and node.shape == (7, 4, 6)
         assert np.abs(node - dense).max() < tol
         for t, grad, ref in zip(hs + es, node_grads, dense_grads):
             assert grad.dtype == dtype and grad.shape == t.shape
@@ -451,9 +475,10 @@ def test_graph_attention_weights_are_exactly_zero_off_the_kept_edges():
     rng = np.random.default_rng(25)
     hs, es = _graph_attention_inputs(rng, keep, np.float64)
     hs[1].data[:, 2] = 1e300  # node 2's features reach only row 2, which keeps it
-    out = tc.graph_attention(hs, es, keep, 0.2).data
-    assert np.array_equal(out[:, 0, :3], hs[0].data[:, 0]) and np.array_equal(out[:, 0, 3:], hs[1].data[:, 0])
-    assert np.all(np.abs(out[:, :2]) < 1e3) and np.all(np.abs(out[:, 2, 3:]) > 1e200)
+    out = tc.graph_attention(hs, es, keep, 0.2).data  # node-major (N, T, H g)
+    for k, h in enumerate(hs):  # row 0 keeps only its self-loop: weight 1, the rest exactly 0
+        assert np.array_equal(out[0, :, 3 * k:3 * (k + 1)], _leaky_relu(Tensor(h.data[:, 0]), 0.2).data)
+    assert np.all(np.abs(out[:2]) < 1e3) and np.all(np.abs(out[2, :, 3:]) > 1e200)
 
 
 def test_graph_attention_keeps_edge_weights_not_dense_maps():
@@ -466,6 +491,61 @@ def test_graph_attention_keeps_edge_weights_not_dense_maps():
     assert memory.live_bytes() - before == out.data.nbytes + edges
     del out
     assert memory.live_bytes() == before
+
+
+def test_graph_attention_under_no_grad_holds_no_edge_weights_of_every_head():
+    """Under no_grad nothing reads the edge weights after the forward, so the
+    node holds one head's (T, E) weights at a time, never a (T, H, E) array."""
+    import tracemalloc
+    t, n, heads = 4, 30, 16
+    keep = np.ones((n, n), dtype=bool)  # dense: E = N^2 kept edges
+    rng = np.random.default_rng(28)
+    hs = [Tensor(rng.normal(size=(t, n, 1))) for _ in range(heads)]
+    es = [Tensor(rng.normal(size=(t, n, 2))) for _ in range(heads)]
+    every_head = t * heads * n * n * 8  # one float64 (T, H, E) array
+    tracemalloc.start()
+    try:
+        with tc.no_grad():
+            out = tc.graph_attention(hs, es, keep, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < every_head, peak / every_head
+    assert out.shape == (n, t, heads)
+
+
+def test_graph_attention_backward_repeats_and_serves_any_input_subset():
+    """The vjps share one pre-activation gradient per backward. A second
+    backward adds the same gradients again, and a node whose inputs only
+    partly need a gradient gives those inputs the same gradients."""
+    keep = np.eye(5, dtype=bool) | np.roll(np.eye(5, dtype=bool), 2, axis=1)
+    rng = np.random.default_rng(29)
+    hs, es = _graph_attention_inputs(rng, keep, np.float64)
+    upstream = rng.normal(size=(5, 4, 6))
+    loss = tc.sum(tc.graph_attention(hs, es, keep, 0.2) * upstream)
+    loss.backward()
+    first = [t.grad.copy() for t in hs + es]
+    loss.backward()
+    for t, grad in zip(hs + es, first):
+        assert np.array_equal(t.grad, 2 * grad)
+    some = [Tensor(t.data, requires_grad=i in (0, 3)) for i, t in enumerate(hs + es)]
+    tc.sum(tc.graph_attention(some[:2], some[2:], keep, 0.2) * upstream).backward()
+    assert np.array_equal(some[0].grad, first[0]) and np.array_equal(some[3].grad, first[3])
+    assert some[1].grad is None and some[2].grad is None
+
+
+def test_module_docstring_lists_the_exported_primitives():
+    """tensor.py's docstring names the closed primitive set and its size;
+    both match the functions tcgpn.tensorcore exports from tensor.py."""
+    import inspect
+    import re
+    exported = {name for name in tc.__all__ if inspect.isfunction(getattr(tc, name))
+                and getattr(tc, name).__module__ == tensor_mod.__name__}
+    doc = re.sub(r"\([^)]*\)", "", " ".join(tensor_mod.__doc__.split()))  # without the parentheticals
+    count, listed = re.search(r"closed, (\d+) in all: (.*?)\. ", doc).groups()
+    names = [name.strip() for name in re.split(r",|\band\b", listed)]
+    assert sorted(names) == sorted(exported) and int(count) == len(names) == 15
+    assert not hasattr(tc, "leaky_relu")
 
 
 def test_graph_attention_rejects_row_without_kept_entry():
