@@ -58,7 +58,7 @@ KEY_TABLE: dict[str, Key] = {k.name: k for k in [
     Key("d_a", int, 32, "adjacency decoder factor width"),
     Key("ffn_hidden", int, 256, "feed-forward hidden width (fixed on the CLI; ModelConfig alone derives 2*d_model)"),
     Key("head_hidden", int, 256, "prediction head hidden width (fixed on the CLI; ModelConfig alone derives 2*d_model)"),
-    Key("leaky_slope", float, 0.2, "LeakyReLU negative slope"),
+    Key("leaky_slope", float, 0.2, "LeakyReLU negative slope, in (0, 1]"),
     Key("decoder_blocks", int, 1, "temporal decoder depth"),
     Key("use_gat", bool, True, "keep the graph attention stage"),
     # masking / augmentation

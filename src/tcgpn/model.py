@@ -55,6 +55,8 @@ class ModelConfig:
             raise ValueError("sigma_h must be positive")
         if self.decoder_blocks != 1:
             raise ValueError("the temporal decoder is a single block")
+        if not 0 < self.leaky_slope <= 1:
+            raise ValueError(f"leaky_slope must be in (0, 1], got {self.leaky_slope}")
 
     @property
     def gat_out(self) -> int:
@@ -156,6 +158,22 @@ def gaussian_mask(window: int, sigma_h: float) -> np.ndarray:
 
 # forward passes ----------------------------------------------------------------
 
+NODE_CHUNK = 32  # most nodes per chunk of a forward-only temporal stage; above acceptance's 20
+
+
+def _by_node_chunk(x: Tensor, stage) -> Tensor:
+    """stage(x) for a stage that keeps x's (N, ...) shape and maps each node's rows on their own. Under
+    no_grad it runs on the fewest even chunks of at most NODE_CHUNK nodes into one output Tensor, counted
+    from the start; in grad mode it runs once, as chunked weight gradients would sum in another order."""
+    n = x.shape[0]
+    if tc.is_grad_enabled() or n <= NODE_CHUNK:
+        return stage(x)
+    out, parts = Tensor(np.empty_like(x.data)), -(-n // NODE_CHUNK)
+    for i in range(parts):
+        rows = slice(n * i // parts, n * (i + 1) // parts)
+        out.data[rows] = stage(Tensor(x.data[rows])).data
+    return out
+
 
 def fuse_and_position(values, params: ParamStore, cfg: ModelConfig) -> Tensor:
     """Map raw features to model width and add the positional table."""
@@ -195,6 +213,7 @@ def gat_forward(x: Tensor, connectivity: np.ndarray, params: ParamStore,
         hs.append(tc.linear(x_t, params[f"gat.h{k}.weight"]))  # (T, N, g)
         a = tc.transpose(tc.reshape(params[f"gat.h{k}.attn"], (2, cfg.gat_dim)), (1, 0))  # (g, 2)
         es.append(tc.linear(hs[-1], a))  # (T, N, 2)
+    del x_t  # under no_grad nothing else holds it; in grad mode the head linears do
     return tc.graph_attention(hs, es, keep, cfg.leaky_slope)  # (N, T, H g)
 
 
@@ -237,7 +256,8 @@ def encoder_forward(values, connectivity: np.ndarray, params: ParamStore, cfg: M
     """Full encoder: fusion + positions, a residual graph-attention stage,
     then the stack of causal decay blocks; returns the (N, T, d_model)
     encodings. With attention_out, each block appends its (N, H, T, T)
-    attention map to that list.
+    attention map to that list. Under no_grad each decay block, which treats
+    each node on its own, runs per node chunk (`_by_node_chunk`).
 
     The graph stage adds the projected neighbour aggregation to each node's
     own signal, x + proj(GAT(x)), so members of one clique keep distinct
@@ -252,7 +272,11 @@ def encoder_forward(values, connectivity: np.ndarray, params: ParamStore, cfg: M
         x = tc.linear(x, params["proj.weight"], params["proj.bias"])
     decay = gaussian_mask(cfg.window, cfg.sigma_h)
     for i in range(cfg.tgm_blocks):
-        x = tgm_block(x, params, f"enc.block{i}", cfg, decay, attention_out)
+        maps = None if attention_out is None else []  # the block's map of each node chunk
+        x = _by_node_chunk(x, functools.partial(tgm_block, params=params, prefix=f"enc.block{i}", cfg=cfg,
+                                                decay=decay, attention_out=maps))
+        if maps is not None:
+            attention_out.append(np.concatenate(maps))
     return x
 
 
@@ -294,11 +318,15 @@ def adjacency_decoder(o_l: Tensor, params: ParamStore) -> Tensor:
 
 def finetune_head(o_l: Tensor, params: ParamStore, cfg: ModelConfig) -> Tensor:
     """Per-node score: residual two-layer MLP on the encoding, then a predict
-    layer over the flattened window."""
+    layer over the flattened window. Under no_grad the MLP runs per node chunk
+    (`_by_node_chunk`); the predict layer's (N, T d) @ (T d, 1) product, whose
+    rounding may depend on its row count, runs once over all nodes."""
     n, t, d = o_l.shape
-    inner = tc.relu(tc.linear(o_l, params["head.fc1.weight"], params["head.fc1.bias"]))
-    inner = tc.linear(inner, params["head.fc2.weight"], params["head.fc2.bias"])
-    merged = inner + o_l
-    flat = tc.reshape(merged, (n, t * d))
+
+    def mlp(x: Tensor) -> Tensor:
+        inner = tc.relu(tc.linear(x, params["head.fc1.weight"], params["head.fc1.bias"]))
+        return tc.linear(inner, params["head.fc2.weight"], params["head.fc2.bias"]) + x
+
+    flat = tc.reshape(_by_node_chunk(o_l, mlp), (n, t * d))
     score = tc.linear(flat, params["head.out.weight"], params["head.out.bias"])
     return tc.reshape(score, (n,))

@@ -1,7 +1,7 @@
 """Self-contained tensor engine: reverse-mode autodiff, Adam, gradient
 checking, checkpointing and live-memory accounting."""
 
-from . import memory
+from . import memory, tensor as _tensor
 from .checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from .gradcheck import GradCheckReport, PathCheck, grad_check
 from .optim import Adam
@@ -27,6 +27,12 @@ from .tensor import (
     transpose,
 )
 
+
+def is_grad_enabled() -> bool:
+    """False inside `no_grad`, where primitives record no backward graph."""
+    return _tensor._grad_enabled
+
+
 __all__ = [
     "Adam",
     "GradCheckReport",
@@ -41,6 +47,7 @@ __all__ = [
     "forward_backward",
     "grad_check",
     "graph_attention",
+    "is_grad_enabled",
     "linear",
     "load_checkpoint",
     "masked_select",

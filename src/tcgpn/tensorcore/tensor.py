@@ -44,6 +44,7 @@ class ShapeError(ValueError):
 
 
 _grad_enabled = True
+_DENSE_SLICE_BYTES = 1 << 20  # graph_attention's dense scratch per time slice
 
 
 class no_grad:
@@ -464,18 +465,21 @@ def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray
     Head k has features hs[k] (T, N, g) and scores es[k] (T, N, 2): column 0
     holds each node's score as the attending row, column 1 as an attended
     column. Each kept edge (i, j) of the (N, N) boolean mask has the logit
-    LeakyReLU(e[t, i, 0] + e[t, j, 1], slope); each row is softmaxed over
-    its kept edges, which must include one, and the weights mix that head's
-    features. Returns the LeakyReLU of the heads side by side, node-major (N, T, H g).
+    LeakyReLU(e[t, i, 0] + e[t, j, 1], slope), 0 < slope <= 1; each row is
+    softmaxed over its kept edges, which must include one, and the weights
+    mix that head's features. Returns the LeakyReLU of the heads side by
+    side, node-major (N, T, H g).
 
     Edges are taken in row-major order, so the row max and sum are segment
-    reductions. Each head's weights go into a dense (T, N, N) scratch,
-    counted while it lives, for one batched product. The vjps (none under
-    no_grad) keep the inputs, the output's sign mask and the (T, H, E) edge
-    weights as a Tensor, share one time-major pre-activation gradient per
-    backward, rebuild dense weights by the same scatter and recompute the
-    logits' sign, so results equal a per-head edge softmax, dense matmul,
-    concat, LeakyReLU and node-major transpose bit for bit.
+    reductions. Dense (N, N) weights exist one time slice of at most
+    _DENSE_SLICE_BYTES (or one step) at a time, each slice's batched product
+    written into place: every step is the whole window's (N, N) @ (N, g)
+    GEMM. The vjps (none under no_grad) keep the inputs, the output's sign
+    mask and the (T, H, E) edge weights as a Tensor, share one time-major
+    pre-activation gradient per backward, rebuild dense slices by the same
+    scatter and recompute the logits' sign, so results equal a per-head edge
+    softmax, dense matmul, concat, LeakyReLU (here max(x, x slope)) and
+    node-major transpose bit for bit.
     """
     hs, es = [_coerce(h) for h in hs], [_coerce(e) for e in es]
     keep = np.asarray(keep, dtype=bool)
@@ -485,6 +489,8 @@ def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray
         raise ShapeError("graph_attention", "need per-head features (T, N, g), scores (T, N, 2) and keep "
                          f"(N, N), got {[h.data.shape for h in hs]}, {[e.data.shape for e in es]} "
                          f"and {keep.shape}")
+    if not 0 < slope <= 1:
+        raise ValueError(f"graph_attention: slope must be in (0, 1], got {slope}")
     t, n, width = shape
     row_counts = keep.sum(axis=1)
     if not row_counts.all():
@@ -497,31 +503,35 @@ def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray
     dtype = hs[0].data.dtype
     slope = dtype.type(slope)
     users = _grad_enabled and np.count_nonzero([p.requires_grad for p in (*hs, *es)])  # vjps backward calls
+    span = max(1, _DENSE_SLICE_BYTES // (n * n * dtype.itemsize))  # time steps per dense slice
+    cuts = [slice(lo, lo + span) for lo in range(0, t, span)]
 
-    def dense(s):  # one head's (T, N, N) weights, exactly zero off the kept edges
-        y = np.zeros((t, n * n), dtype=dtype)
-        y[:, flat] = s
-        return y.reshape(t, n, n)
+    def dense(s):  # per cut, one head's (steps, N, N) weights, exactly zero off the kept edges
+        buf = np.zeros((min(span, t), n * n), dtype=dtype)
+        for sl in cuts:
+            y = buf[:len(s[sl])]
+            y[:, flat] = s[sl]
+            yield sl, y.reshape(-1, n, n)
 
     out = np.empty((n, t, len(hs) * width), dtype=dtype)
-    pos = np.empty((t, n, len(hs) * width), dtype=bool)  # each pre-activation's sign, time-major
+    z = np.empty((t, n, width), dtype=dtype)  # one head's pre-activations
+    pos = np.empty((t, n, len(hs) * width), dtype=bool) if users else None  # their signs, time-major
     weights = Tensor(np.empty((t, len(hs), flat.size), dtype=dtype)) if users else None  # the vjps read it
+    scratch = min(span, t) * n * n * dtype.itemsize  # each head's, counted in the forward as a Tensor is
     for k, (h, e) in enumerate(zip(hs, es)):
         s = e.data[:, rows, 0] + e.data[:, cols, 1]  # (T, E) logits
-        s = np.where(s > 0, s, s * slope)
+        np.maximum(s, s * slope, out=s)
         s -= np.repeat(np.maximum.reduceat(s, starts, axis=1), row_counts, axis=1)
         np.exp(s, out=s)
         s /= np.repeat(np.add.reduceat(s, starts, axis=1), row_counts, axis=1)
-        if users:
-            weights.data[:, k] = s
-        y = dense(s)
-        memory.note_alloc(y.nbytes)
-        z = y @ h.data  # (T, N, g) pre-activations
-        memory.note_free(y.nbytes)
-        del y
+        memory.note_alloc(scratch)
+        for sl, y in dense(s):
+            np.matmul(y, h.data[sl], out=z[sl])
+        memory.note_free(scratch)
         head = np.s_[:, :, k * width:(k + 1) * width]
-        pos[head] = z > 0
-        out.transpose(1, 0, 2)[head] = np.where(pos[head], z, z * slope)
+        if users:
+            weights.data[:, k], pos[head] = s, z > 0
+        np.maximum(z, z * slope, out=out.transpose(1, 0, 2)[head])
     pending = []  # the pre-activation gradient, one reference per vjp still to run
 
     def grad_z(k, g):  # head k's columns of np.where(pos, gᵀ, gᵀ slope), derived once per backward
@@ -530,11 +540,16 @@ def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray
         return pending.pop()[:, :, k * width:(k + 1) * width]
 
     def grad_h(k, g):
-        return dense(weights.data[:, k]).swapaxes(-1, -2) @ grad_z(k, g)
+        g_z = grad_z(k, g)
+        grad = np.empty(g_z.shape, np.result_type(dtype, g_z))
+        for sl, y in dense(weights.data[:, k]):
+            np.matmul(y.swapaxes(-1, -2), g_z[sl], out=grad[sl])
+        return grad
 
     def grad_e(k, g):
-        s, e = weights.data[:, k], es[k].data
-        g_e = (grad_z(k, g) @ hs[k].data.swapaxes(-1, -2))[:, rows, cols]
+        s, e, g_z = weights.data[:, k], es[k].data, grad_z(k, g)
+        g_e = np.concatenate([(g_z[sl] @ hs[k].data[sl].swapaxes(-1, -2)).reshape(-1, n * n)[:, flat]
+                              for sl in cuts])  # (T, E), one dense slice at a time
         ds = s * (g_e - np.repeat(np.add.reduceat(g_e * s, starts, axis=1), row_counts, axis=1))
         ds = np.where(e[:, rows, 0] + e[:, cols, 1] > 0, ds, ds * slope)
         grad = np.zeros((t, n, 2), dtype=dtype)

@@ -4,7 +4,7 @@ pretrain -> finetune -> predict -> backtest, plus determinism and sweep."""
 import numpy as np
 import pytest
 
-from tcgpn import cli
+from tcgpn import cli, model
 from tcgpn.cli import dispatch
 from tcgpn.tensorcore import load_checkpoint, save_checkpoint
 
@@ -87,6 +87,33 @@ def test_full_pipeline(pipeline, pretrained, capsys):
     assert "sharpe" in out and "mdd" in out
 
 
+def test_checkpoint_moves_between_universes_of_different_size(tmp_path, capsys):
+    """No parameter depends on the node count: a checkpoint pretrained on a
+    10-node panel fine-tunes and predicts on a 40-node panel, which the
+    forward-only passes split into more than one node chunk."""
+    inputs = {}
+    for nodes in (10, 40):
+        synth = tmp_path / f"synth{nodes}"
+        assert dispatch(["synth-data", "--out", str(synth), "--synth_length", "90", "--synth_clusters", "2",
+                         "--synth_nodes_per_cluster", str(nodes // 2), "--seed", "1"]) == 0
+        inputs[nodes] = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]
+    assert 40 > model.NODE_CHUNK
+    assert dispatch(["pretrain", "--out", str(tmp_path / "pre")] + inputs[10] + TINY) == 0
+    pre = run_dirs(tmp_path / "pre")[0] / "pretrained.ckpt"
+    assert dispatch(["finetune", "--checkpoint", str(pre), "--out", str(tmp_path / "fine")] + inputs[40] + TINY) == 0
+    fine = run_dirs(tmp_path / "fine")[0] / "finetuned.ckpt"
+    preds = tmp_path / "predictions.csv"
+    assert dispatch(["predict", "--checkpoint", str(fine), "--out", str(preds)] + inputs[40] + TINY) == 0, \
+        capsys.readouterr().err
+    by_date = {}
+    for line in preds.read_text().splitlines()[1:]:
+        date, symbol, score = line.split(",")
+        by_date.setdefault(date, {})[symbol] = float(score)
+    assert by_date
+    for scores in by_date.values():
+        assert len(scores) == 40 and np.all(np.isfinite(list(scores.values())))
+
+
 def test_pretrain_determinism_across_cli_runs(pipeline):
     root, synth = pipeline
     runs_a = root / "det_a"
@@ -132,7 +159,8 @@ def test_checkpoint_config_mismatch_rejected(pipeline, pretrained, capsys):
                                  ["--epochs", "0", "--finetune_epochs", "0"], ["--lr", "0"],
                                  ["--beta", "-1"], ["--window", "100"], ["--window", "0"],
                                  ["--stride", "0"], ["--train_frac", "1.5"], ["--split_mode", "year"],
-                                 ["--split_mode", "year", "--train_years", "0"]])
+                                 ["--split_mode", "year", "--train_years", "0"],
+                                 ["--leaky_slope", "0"], ["--leaky_slope", "1.5"]])
 def test_bad_training_value_exits_3_without_run_dir(pipeline, tmp_path, capsys, bad):
     root, synth = pipeline
     inputs = ["--data", str(synth / "panel.csv"), "--graph", str(synth / "graph.txt")]

@@ -138,20 +138,26 @@ def test_gat_forward_matches_numpy_reference():
 
 
 def test_gat_allocates_one_dense_attention_tensor_per_head(monkeypatch):
-    from tcgpn.tensorcore import memory
+    """Each head counts one dense attention scratch: its whole (T, N, N)
+    weights while they fit graph_attention's slice budget, else as many time
+    steps as fit; every counted allocation stays within that budget."""
+    from tcgpn.tensorcore import tensor as tensor_mod
+    budget = tensor_mod._DENSE_SLICE_BYTES
     cfg = tiny_cfg(gat_heads=3)
     params = init_params(cfg, seed=6)
-    n = 40
-    x, conn = random_inputs(cfg, n=n, seed=7, density=0.1)
     sizes = []
     note_alloc = memory.note_alloc
     monkeypatch.setattr(memory, "note_alloc", lambda nbytes: (sizes.append(nbytes), note_alloc(nbytes)))
-    fused = Tensor(fuse_and_position(x, params, cfg).data)
-    sizes.clear()
-    with no_grad():
-        gat_forward(fused, conn, params, cfg)
-    dense = cfg.window * n * n * fused.data.itemsize  # one (T, N, N) attention tensor
-    assert sizes.count(dense) == cfg.gat_heads
+    for n in (40, 200):
+        x, conn = random_inputs(cfg, n=n, seed=7, density=0.1)
+        fused = Tensor(fuse_and_position(x, params, cfg).data)
+        sizes.clear()
+        with no_grad():
+            gat_forward(fused, conn, params, cfg)
+        step = n * n * fused.data.itemsize  # one step's (N, N) weights
+        assert (cfg.window * step > budget) == (n == 200)
+        assert sizes.count(min(cfg.window, budget // step) * step) == cfg.gat_heads
+        assert max(sizes) <= budget
 
 
 def test_gat_keeps_less_than_one_dense_attention_map_for_backward():
@@ -355,6 +361,69 @@ def test_encoder_records_one_causal_attention_map_per_block():
         assert m.shape == (4, cfg.tgm_heads, cfg.window, cfg.window)
         assert np.allclose(m.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(m[..., above] == 0.0)
+
+
+def _whole_universe_forward(x, conn, params, cfg, maps):
+    """Encodings and (N, 1) scores composed from the stages over every node at once."""
+    h = fuse_and_position(x, params, cfg)
+    h = h + tc.linear(gat_forward(h, conn, params, cfg), params["proj.weight"], params["proj.bias"])
+    for i in range(cfg.tgm_blocks):
+        h = tgm_block(h, params, f"enc.block{i}", cfg, gaussian_mask(cfg.window, cfg.sigma_h), maps)
+    inner = tc.relu(tc.linear(h, params["head.fc1.weight"], params["head.fc1.bias"]))
+    merged = tc.linear(inner, params["head.fc2.weight"], params["head.fc2.bias"]) + h
+    flat = tc.reshape(merged, (h.shape[0], -1))
+    return h, tc.linear(flat, params["head.out.weight"], params["head.out.bias"])
+
+
+def test_no_grad_encoder_and_head_run_per_node_chunk(monkeypatch):
+    """Under no_grad each decay block and the head's MLP run on node chunks of
+    at most NODE_CHUNK nodes. Encodings, attention maps and scores match the
+    whole-universe composition to the permutation tests' tolerance, since
+    GEMM rounding may depend on the row count. Grad mode chunks nothing."""
+    cfg = tiny_cfg(tgm_blocks=2)
+    n = 2 * model.NODE_CHUNK + 5
+    params = init_params(cfg, seed=30)
+    x, conn = random_inputs(cfg, n=n, seed=31, density=0.1)
+    seen = []
+    chunked = model._by_node_chunk
+    monkeypatch.setattr(model, "_by_node_chunk",
+                        lambda x, stage: chunked(x, lambda part: seen.append(part.shape[0]) or stage(part)))
+    with no_grad():
+        maps, ref_maps = [], []
+        enc = encoder_forward(x, conn, params, cfg, attention_out=maps)
+        scores = finetune_head(enc, params, cfg)
+        ref_enc, ref_scores = _whole_universe_forward(x, conn, params, cfg, ref_maps)
+    stages = cfg.tgm_blocks + 1  # each decay block, then the head's MLP
+    assert len(seen) == 3 * stages and max(seen) <= model.NODE_CHUNK and sum(seen) == stages * n
+    assert len(maps) == len(ref_maps) == cfg.tgm_blocks
+    for got, ref in [(enc.data, ref_enc.data), (scores.data, ref_scores.data[:, 0]), *zip(maps, ref_maps)]:
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+    seen.clear()
+    finetune_head(encoder_forward(x, conn, params, cfg), params, cfg)
+    assert seen == [n] * stages
+
+
+def test_no_grad_paper_width_forward_peak_is_bounded():
+    """A forward-only encoding and scoring at paper width (N=200, d=128, a kNN
+    graph with k=10, float32) peaks at most 9.5 MB of counted tensors above
+    its input: node chunks bound the decay blocks, time slices the GAT's
+    dense weights. It was 21.1 MB with whole-universe working sets."""
+    n, k = 200, 10
+    cfg = ModelConfig(n_features=4)
+    params = init_params(cfg, seed=0)
+    x = Tensor(np.random.default_rng(0).normal(size=(n, cfg.window, cfg.n_features)).astype(np.float32))
+    f = x.data.reshape(n, -1).astype(np.float64)
+    dist = (f * f).sum(axis=1)[:, None] - 2 * f @ f.T
+    np.fill_diagonal(dist, np.inf)
+    conn = np.zeros((n, n), dtype=bool)
+    conn[np.arange(n)[:, None], np.argsort(dist, axis=1)[:, :k]] = True
+    memory.reset_peak()
+    before = memory.live_bytes()
+    with no_grad():
+        scores = finetune_head(encoder_forward(x, conn, params, cfg), params, cfg)
+    assert scores.shape == (n,) and np.all(np.isfinite(scores.data))
+    assert memory.peak_bytes() - before <= 9.5e6
 
 
 # decoders and head ----------------------------------------------------------------
@@ -675,6 +744,10 @@ def test_config_validation():
         ModelConfig(n_features=3, sigma_h=-1.0)
     with pytest.raises(ValueError, match="single block"):
         ModelConfig(n_features=3, decoder_blocks=2)
+    for slope in (0.0, -0.2, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"leaky_slope must be in \(0, 1\]"):
+            ModelConfig(n_features=3, leaky_slope=slope)
+    assert ModelConfig(n_features=3, leaky_slope=1.0).leaky_slope == 1.0
 
 
 def test_config_defaults_derived():

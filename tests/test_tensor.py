@@ -534,6 +534,64 @@ def test_graph_attention_backward_repeats_and_serves_any_input_subset():
     assert some[1].grad is None and some[2].grad is None
 
 
+def test_graph_attention_time_slices_are_bitwise_the_whole_window(monkeypatch):
+    """With (T, N, N) weights above the slice budget, the output and both
+    input gradients equal those of one whole-window slice bit for bit (each
+    step is the same GEMM either way), under no_grad too, and no counted
+    allocation exceeds the budget."""
+    t, n = 10, 190  # float64: 3 steps fit the budget, so slices of 3, 3, 3 and 1 steps
+    budget = tensor_mod._DENSE_SLICE_BYTES
+    assert budget // (n * n * 8) == 3
+    rng = np.random.default_rng(30)
+    keep = (rng.uniform(size=(n, n)) < 0.05) | np.eye(n, dtype=bool)
+    hs = [Tensor(rng.normal(size=(t, n, 3)), requires_grad=True) for _ in range(2)]
+    es = [Tensor(rng.normal(size=(t, n, 2)) * 3, requires_grad=True) for _ in range(2)]
+    upstream = rng.normal(size=(n, t, 6))
+    sizes = []
+    note_alloc = memory.note_alloc
+    monkeypatch.setattr(memory, "note_alloc", lambda nbytes: (sizes.append(nbytes), note_alloc(nbytes)))
+
+    def run():
+        for x in hs + es:
+            x.grad = None
+        sizes.clear()
+        out = tc.graph_attention(hs, es, keep, 0.2)
+        tc.sum(out * upstream).backward()
+        with tc.no_grad():
+            plain = tc.graph_attention(hs, es, keep, 0.2).data
+        return [out.data, plain] + [x.grad for x in hs + es], max(sizes)
+
+    sliced, largest = run()
+    assert largest <= budget
+    monkeypatch.setattr(tensor_mod, "_DENSE_SLICE_BYTES", t * n * n * 8)
+    whole, largest = run()
+    assert largest == t * n * n * 8 > budget
+    for a, b in zip(sliced, whole):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_leaky_relu_as_maximum_is_the_where_form_bit_for_bit():
+    """graph_attention's forward LeakyReLU max(x, x slope) gives the bits of
+    where(x > 0, x, x slope) for 0 < slope <= 1: signed zeros, infinities,
+    NaN and subnormals included."""
+    for dtype in (np.float32, np.float64):
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny, -3 * tiny,
+                      np.finfo(dtype).max, -np.finfo(dtype).max, 1.5, -1.5], dtype=dtype)
+        for slope in (0.2, 1.0, 1e-3):
+            slope = dtype(slope)
+            bits = np.dtype(f"u{x.itemsize}")
+            assert np.array_equal(np.maximum(x, x * slope).view(bits), np.where(x > 0, x, x * slope).view(bits))
+
+
+def test_graph_attention_rejects_a_slope_outside_zero_to_one():
+    h, e = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 2)))
+    for slope in (0.0, -0.1, 1.01, float("nan")):
+        with pytest.raises(ValueError, match=r"graph_attention: slope must be in \(0, 1\]"):
+            tc.graph_attention([h], [e], np.eye(3, dtype=bool), slope)
+    assert tc.graph_attention([h], [e], np.eye(3, dtype=bool), 1.0).shape == (3, 2, 4)
+
+
 def test_module_docstring_lists_the_exported_primitives():
     """tensor.py's docstring names the closed primitive set and its size;
     both match the functions tcgpn.tensorcore exports from tensor.py."""
