@@ -233,7 +233,8 @@ def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,
     attention weights before the output projection, the attention output
     after it, the hidden layers inside the feed-forward. Under no_grad
     nothing else holds them, so the feed-forward runs without the attention
-    stage's arrays; in grad mode the vjps keep what they read, as before.
+    stage's arrays; in grad mode the vjps keep what they read, which leaves
+    out the attention weights (`tc.attention` rebuilds them in backward).
     """
     q_in = x if queries is None else queries
     mixed, weights = tc.attention(  # weights (N, H, S, T)

@@ -16,9 +16,10 @@ that needs a gradient gets a `_Node` holding, per such input, that input's
 node (a leaf tensor is its own node) and the vjp that maps the result's
 gradient to it; any other result, and every result made under no_grad, gets
 no node. A vjp keeps only what it reads: a shape, a dtype or a mask, the
-input Tensors whose data its formula uses, or the weights an attention node
-made, held as a Tensor. So a Tensor's buffer lives while
-the caller or some vjp holds that Tensor, and no longer: the output of a
+input Tensors whose data its formula uses, or what the node made for its
+vjps, held as a Tensor (attention's row max and sum, graph_attention's edge
+weights). So a Tensor's buffer lives while the caller or some vjp holds
+that Tensor, and no longer: the output of a
 layer that only feeds a residual add, or a pre-activation that `relu`
 reduces to its mask, is freed once the caller drops it. No vjp holds its own
 output or a bare view of a Tensor's buffer, so every live buffer stays
@@ -394,11 +395,11 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
     tensor. The softmax runs in place in the scores buffer, which becomes
     the weights, so the forward holds one (N, heads, S, T) array; the
     head-mixing products write straight into merged (N, rows, d) arrays.
-    The vjps keep q, k, v and the weights, the only array computed here
-    that backward reads. The scores gradient is computed once, for the q
-    and k vjps. The arithmetic is that of the head-split, matmul, scale,
-    softmax, matmul and merge composition, on the same view layouts and in
-    the same order, so results are bitwise equal to it.
+    The vjps keep q, k, v and each row's max and sum, (N, heads, S, 2); the
+    first of a backward rebuilds the weights from them, as a Tensor freed
+    after the last, by the forward's own softmax. Its arithmetic is that of
+    the head-split, matmul, scale, softmax, matmul and merge composition, on
+    the same view layouts and in the same order, so results equal it bitwise.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     if (q.data.ndim != 3 or k.data.shape != v.data.shape or k.data.shape[::2] != q.data.shape[::2]
@@ -420,22 +421,38 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
         return out
 
     decay = np.asarray(decay)
-    y = split(q.data, s) @ split(k.data, t).transpose(0, 1, 3, 2)
-    y *= scale
-    try:
+    users = _grad_enabled and np.count_nonzero([p.requires_grad for p in (q, k, v)])  # vjps backward calls
+    stats = Tensor(np.empty((n, heads, s, 2), dtype)) if users else None  # each row's max and sum
+
+    def softmax(fill):  # the weights in a new scores buffer; kept stats get (fill) or give row max and sum
+        y = split(q.data, s) @ split(k.data, t).transpose(0, 1, 3, 2)
+        y *= scale
         np.copyto(y, dtype.type(-np.inf), where=~(decay > 0))
+        if fill:
+            stats.data[..., :1] = _row_max(y)
+        y -= _row_max(y) if stats is None else stats.data[..., :1]
+        np.exp(y, out=y)
+        y *= decay.astype(dtype, copy=False)
+        if fill:
+            stats.data[..., 1:] = y.sum(axis=-1, keepdims=True)
+        y /= y.sum(axis=-1, keepdims=True) if stats is None else stats.data[..., 1:]
+        return y
+
+    try:
+        y = softmax(fill=stats is not None)
     except ValueError:
         raise ShapeError("attention", f"decay {decay.shape} does not broadcast to "
                                       f"{(n, heads, s, t)}") from None
-    y -= _row_max(y)
-    np.exp(y, out=y)
-    y *= decay.astype(dtype, copy=False)
-    y /= y.sum(axis=-1, keepdims=True)
     out = merged(y, split(v.data, t), s)
-    weights = Tensor(y)  # the vjps read y through `weights`, which keeps it counted
+    pending = []  # the rebuilt weights as a counted Tensor, one reference per vjp still to run
     held = []  # the scores gradient, from the q vjp to the k vjp
 
-    def scores_grad(g):
+    def rebuilt():
+        if not pending:
+            pending.extend([Tensor(softmax(fill=False))] * users)
+        return pending.pop()
+
+    def scores_grad(g, weights):
         if held:
             return held.pop()
         ds = split(g, s) @ split(v.data, t).swapaxes(-1, -2)
@@ -445,18 +462,19 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
         return ds
 
     def grad_q(g):
-        ds = scores_grad(g)
+        ds = scores_grad(g, rebuilt())
         if k.requires_grad:
             held.append(ds)
         return merged(ds, split(k.data, t), s)
 
     def grad_k(g):  # (N, H, dk, T) -> (N, T, d)
-        return np.transpose(split(q.data, s).swapaxes(-1, -2) @ scores_grad(g), (0, 3, 1, 2)).reshape(n, t, d)
+        ds = scores_grad(g, rebuilt())
+        return np.transpose(split(q.data, s).swapaxes(-1, -2) @ ds, (0, 3, 1, 2)).reshape(n, t, d)
 
     def grad_v(g):
-        return merged(weights.data.swapaxes(-1, -2), split(g, s), t)
+        return merged(rebuilt().data.swapaxes(-1, -2), split(g, s), t)
 
-    return _result(out, (q, k, v), (grad_q, grad_k, grad_v)), weights
+    return _result(out, (q, k, v), (grad_q, grad_k, grad_v)), Tensor(y)
 
 
 def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray, slope: float) -> Tensor:
@@ -533,10 +551,11 @@ def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray
             weights.data[:, k], pos[head] = s, z > 0
         np.maximum(z, z * slope, out=out.transpose(1, 0, 2)[head])
     pending = []  # the pre-activation gradient, one reference per vjp still to run
+    leaky = np.array([slope, 1], dtype=dtype)  # LeakyReLU's derivative, by sign: a product by it is exact
 
-    def grad_z(k, g):  # head k's columns of np.where(pos, gᵀ, gᵀ slope), derived once per backward
+    def grad_z(k, g):  # head k's columns of gᵀ (slope where not pos), derived once per backward
         if not pending:
-            pending.extend([np.where(pos, g.transpose(1, 0, 2), g.transpose(1, 0, 2) * slope)] * users)
+            pending.extend([g.transpose(1, 0, 2) * leaky[pos.view(np.int8)]] * users)
         return pending.pop()[:, :, k * width:(k + 1) * width]
 
     def grad_h(k, g):
@@ -551,7 +570,7 @@ def graph_attention(hs: Sequence[Tensor], es: Sequence[Tensor], keep: np.ndarray
         g_e = np.concatenate([(g_z[sl] @ hs[k].data[sl].swapaxes(-1, -2)).reshape(-1, n * n)[:, flat]
                               for sl in cuts])  # (T, E), one dense slice at a time
         ds = s * (g_e - np.repeat(np.add.reduceat(g_e * s, starts, axis=1), row_counts, axis=1))
-        ds = np.where(e[:, rows, 0] + e[:, cols, 1] > 0, ds, ds * slope)
+        ds *= leaky[(e[:, rows, 0] + e[:, cols, 1] > 0).view(np.int8)]
         grad = np.zeros((t, n, 2), dtype=dtype)
         grad[:, :, 0] = np.add.reduceat(ds, starts, axis=1)
         grad[:, kept_cols, 1] = np.add.reduceat(ds[:, by_col], col_starts, axis=1)

@@ -2,10 +2,12 @@
 attention, decoders, head. Includes the bit-exact causality and permutation
 equivariance contracts."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from tcgpn import checks, data, model, train
+from tcgpn import augment, checks, data, graphs, model, train
 from tcgpn import tensorcore as tc
 from tcgpn.model import (ModelConfig, adjacency_decoder,
                          encoder_forward, finetune_head, fuse_and_position,
@@ -426,6 +428,29 @@ def test_no_grad_paper_width_forward_peak_is_bounded():
     assert memory.peak_bytes() - before <= 9.5e6
 
 
+def test_grad_mode_decay_block_holds_at_most_ten_block_inputs():
+    """At paper width (N=200, kNN k=10, float32) each decay block adds at most
+    10.2 of its (N, T, d) inputs, 31.3 MB, to the counted bytes a pretraining
+    sample's forward leaves for backward. It was 11.875 (36.5 MB) while
+    tc.attention kept its (N, H, T, T) weights rather than each row's max and sum."""
+    n = 200
+    rng = np.random.default_rng(0)
+    window = data.WindowSample(panel=rng.normal(size=(n, 30, 4)), target=rng.normal(size=n),
+                               end_date="2020-01-31", end_index=29, node_ids=[f"N{i}" for i in range(n)])
+    graph = graphs.build_distance_graph(SimpleNamespace(features=window.panel, node_ids=window.node_ids), 10)
+    sample = augment.make_masked_sample(window, graph, 0.3, 0.3, seed=1)
+    held = []
+    for blocks in (1, 2):
+        cfg = ModelConfig(n_features=4, tgm_blocks=blocks)
+        params = init_params(cfg, seed=0, dtype=np.float32)
+        before = memory.live_bytes()
+        kept = train.pretrain_sample_losses(sample, params, cfg, train.TrainConfig(epochs=1))
+        held.append(memory.live_bytes() - before)
+        del kept
+    unit = n * cfg.window * cfg.d_model * 4  # one float32 (N, T, d) block input, 3.07 MB
+    assert held[1] - held[0] <= 10.2 * unit, (held[1] - held[0]) / unit
+
+
 # decoders and head ----------------------------------------------------------------
 
 
@@ -570,17 +595,18 @@ def test_pretrain_forward_tensor_count_is_pinned(monkeypatch):
     # 15 biased linear layers and 4 layer norms: 15 + 2 * 4 fewer nodes than composed.
     # The temporal decoder's masked-step gather and scatter add 4 nodes to each: the
     # one-hot constant, its transpose's gather matmul, and the same for the scatter.
-    # tc.attention keeps 2 tensors per block (its output and its weights) where the
-    # composition built 14, and the acceptance model has 2 blocks (1 encoder, 1
-    # decoder): 95 - 12 * 2 = 71. The GAT's one contiguous time-major copy adds 2
-    # (the copying reshape and its reshape back to (T, N, d)): 73. tc.graph_attention
-    # counts its output, its (T, H, E) edge weights and each of the 2 heads' dense
-    # (T, N, N) scratch while it lives, 4 in all, where each head's edge softmax and
-    # matmul and the head concat made 2 * 2 + 1 = 5: 72. The node also applies the
-    # LeakyReLU and writes node-major, so no leaky_relu or transpose result follows
-    # it: 70.
+    # tc.attention counts 3 tensors per block (its output, its weights and the (N, H,
+    # S, 2) row max and sum its vjps keep) where the composition built 14, and the
+    # acceptance model has 2 blocks (1 encoder, 1 decoder): 95 - 11 * 2 = 73. The GAT's
+    # one contiguous time-major copy adds 2 (the copying reshape and its reshape back
+    # to (T, N, d)): 75. tc.graph_attention counts its output, its (T, H, E) edge
+    # weights and each of the 2 heads' dense (T, N, N) scratch while it lives, 4 in
+    # all, where each head's edge softmax and matmul and the head concat made
+    # 2 * 2 + 1 = 5: 74. The node also applies the LeakyReLU and writes node-major,
+    # so no leaky_relu or transpose result follows it: 72. The affine-composed run
+    # keeps tc.attention, so its count rises by the same 2 to 95.
     _compose_affine_primitives(monkeypatch)
-    assert (fused, _forward_tensor_count(monkeypatch)) == (70, 93)
+    assert (fused, _forward_tensor_count(monkeypatch)) == (72, 95)
 
 
 def test_attention_node_matches_its_composition_over_a_whole_sample(monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tcgpn import tensorcore as tc
+from tcgpn.model import gaussian_mask
 from tcgpn.tensorcore import ParamStore, ShapeError, Tensor, forward_backward, memory
 from tcgpn.tensorcore import tensor as tensor_mod
 
@@ -369,22 +370,69 @@ def test_decay_softmax_zero_weight_scores_cannot_move_output():
         assert not np.array_equal(out.data[~unmoved], base.data[~unmoved])
 
 
-def test_attention_keeps_only_its_weights_counted():
+def test_attention_keeps_row_stats_not_weights_counted():
+    """The node keeps each row's softmax max and sum, not the weights: those
+    are rebuilt in backward as a counted Tensor, freed after the last vjp."""
     rng = np.random.default_rng(26)
     q, k, v = (Tensor(a, requires_grad=True) for a in _attention_inputs(rng, 3, 4, 6, 8, np.float64))
     before = memory.live_bytes()
     out, weights = tc.attention(q, k, v, np.ones((4, 6)), 2)
-    held = 3 * 2 * 4 * 6 * 8
+    held, stats = 3 * 2 * 4 * 6 * 8, 3 * 2 * 4 * 2 * 8  # (N, H, S, T) weights, (N, H, S, 2) max and sum
     assert weights.data.nbytes == held
-    assert memory.live_bytes() - before == out.data.nbytes + held
-    del weights  # the node still holds them, still counted
-    assert memory.live_bytes() - before == out.data.nbytes + held
+    assert memory.live_bytes() - before == out.data.nbytes + held + stats
+    del weights  # the caller's copy goes, and nothing else holds them
+    assert memory.live_bytes() - before == out.data.nbytes + stats
     loss = tc.sum(out)
+    memory.reset_peak()
     loss.backward()
     assert q.grad.shape == (3, 4, 8) and k.grad.shape == v.grad.shape == (3, 6, 8)
-    assert memory.live_bytes() - before == out.data.nbytes + held + loss.data.nbytes
+    assert memory.peak_bytes() - before == out.data.nbytes + stats + loss.data.nbytes + held  # rebuilt
+    assert memory.live_bytes() - before == out.data.nbytes + stats + loss.data.nbytes
     del out, loss
     assert memory.live_bytes() == before
+
+
+def test_attention_backward_repeats_and_serves_any_input_subset():
+    """The vjps share one rebuilt set of weights per backward. A second
+    backward adds the same gradients again, and every subset of q, k and v
+    that needs a gradient gets the gradients it gets when all three do."""
+    rng = np.random.default_rng(30)
+    for n, s, t, d, heads, decay in _attention_cases(rng):
+        arrays = _attention_inputs(rng, n, s, t, d, np.float64)
+        upstream = rng.normal(size=(n, s, d))
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        loss = tc.sum(tc.attention(*inputs, decay, heads)[0] * upstream)
+        loss.backward()
+        first = [x.grad.copy() for x in inputs]
+        loss.backward()
+        for x, grad in zip(inputs, first):
+            assert np.array_equal(x.grad, 2 * grad)
+        for subset in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
+            some = [Tensor(a, requires_grad=i in subset) for i, a in enumerate(arrays)]
+            tc.sum(tc.attention(*some, decay, heads)[0] * upstream).backward()
+            for i, x in enumerate(some):
+                assert np.array_equal(x.grad, first[i]) if i in subset else x.grad is None, (subset, i)
+
+
+def test_attention_rebuilds_paper_width_weights_bitwise():
+    """At paper width (N=200, T=30, d=128, 8 heads, float32, the encoder's
+    decay) the output and the q, k, v gradients equal the composition's bit
+    for bit over two backwards, so the rebuilt weights are the forward's."""
+    n, t, d, heads = 200, 30, 128, 8
+    rng = np.random.default_rng(32)
+    arrays = _attention_inputs(rng, n, t, t, d, np.float32)
+    upstream = rng.normal(size=(n, t, d)).astype(np.float32)
+    results = []
+    for attention in (tc.attention, composed_attention):
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = attention(*inputs, gaussian_mask(t, t / 4), heads)[0]
+        loss = tc.sum(out * upstream)
+        loss.backward()
+        grads = [x.grad.copy() for x in inputs]
+        loss.backward()
+        results.append([out.data, *grads, *[x.grad for x in inputs]])
+    for fused, composed in zip(*results):
+        assert fused.dtype == np.float32 and np.array_equal(fused, composed)
 
 
 def test_attention_forward_keeps_one_copy_of_the_scores():
