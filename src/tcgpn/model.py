@@ -229,26 +229,26 @@ def tgm_block(x: Tensor, params: ParamStore, prefix: str, cfg: ModelConfig,
     layer norms, and the feed-forward) runs on `queries` (N, S, d), which
     defaults to x; `decay` then has S rows, (S, T) or per node (N, 1, S, T).
 
-    Each activation is dropped after its last reader: the projections and
-    attention weights before the output projection, the attention output
-    after it, the hidden layers inside the feed-forward. Under no_grad
-    nothing else holds them, so the feed-forward runs without the attention
-    stage's arrays; in grad mode the vjps keep what they read, which leaves
-    out the attention weights (`tc.attention` rebuilds them in backward).
+    The attention with its q, k and v projections is one `tc.attention`
+    node, and the feed-forward one `tc.feed_forward` node. Each activation is
+    dropped after its last reader: the projections inside the attention node,
+    its weights before the output projection, the attention output after it,
+    the hidden layer inside the feed-forward node. Under no_grad nothing else
+    holds them, so the feed-forward runs without the attention stage's
+    arrays. In grad mode the vjps keep what they read, which leaves out q, k,
+    v, the attention weights and the hidden layer: both nodes keep their
+    inputs and rebuild these in backward.
     """
     q_in = x if queries is None else queries
-    mixed, weights = tc.attention(  # weights (N, H, S, T)
-        tc.linear(q_in, params[f"{prefix}.attn.wq"], params[f"{prefix}.attn.bq"]),
-        tc.linear(x, params[f"{prefix}.attn.wk"]),
-        tc.linear(x, params[f"{prefix}.attn.wv"], params[f"{prefix}.attn.bv"]), decay, cfg.tgm_heads)
+    attn = [params[f"{prefix}.attn.{name}"] for name in ("wq", "bq", "wk", "wv", "bv")]
+    mixed, weights = tc.attention(q_in, x, *attn, decay, cfg.tgm_heads)  # weights (N, H, S, T)
     if attention_out is not None:
         attention_out.append(weights.data.copy())
     del weights
     mixed = tc.linear(mixed, params[f"{prefix}.attn.wo"], params[f"{prefix}.attn.bo"])
     x1 = tc.normalize(q_in + mixed, 1e-5, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
     del mixed
-    ffn = tc.linear(tc.relu(tc.linear(x1, params[f"{prefix}.ffn.w1"], params[f"{prefix}.ffn.b1"])),
-                    params[f"{prefix}.ffn.w2"], params[f"{prefix}.ffn.b2"])
+    ffn = tc.feed_forward(x1, *[params[f"{prefix}.ffn.{name}"] for name in ("w1", "b1", "w2", "b2")])
     return tc.normalize(x1 + ffn, 1e-5, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
 
 
@@ -318,15 +318,17 @@ def adjacency_decoder(o_l: Tensor, params: ParamStore) -> Tensor:
 
 
 def finetune_head(o_l: Tensor, params: ParamStore, cfg: ModelConfig) -> Tensor:
-    """Per-node score: residual two-layer MLP on the encoding, then a predict
-    layer over the flattened window. Under no_grad the MLP runs per node chunk
-    (`_by_node_chunk`); the predict layer's (N, T d) @ (T d, 1) product, whose
-    rounding may depend on its row count, runs once over all nodes."""
+    """Per-node score: residual two-layer MLP on the encoding, one
+    `tc.feed_forward` node that keeps no hidden layer for backward, then a
+    predict layer over the flattened window. Under no_grad the MLP runs per
+    node chunk (`_by_node_chunk`); the predict layer's (N, T d) @ (T d, 1)
+    product, whose rounding may depend on its row count, runs once over all
+    nodes."""
     n, t, d = o_l.shape
 
     def mlp(x: Tensor) -> Tensor:
-        inner = tc.relu(tc.linear(x, params["head.fc1.weight"], params["head.fc1.bias"]))
-        return tc.linear(inner, params["head.fc2.weight"], params["head.fc2.bias"]) + x
+        return tc.feed_forward(x, *[params[f"head.{path}"] for path in
+                                    ("fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias")]) + x
 
     flat = tc.reshape(_by_node_chunk(o_l, mlp), (n, t * d))
     score = tc.linear(flat, params["head.out.weight"], params["head.out.bias"])

@@ -12,6 +12,7 @@ from .tensor import (
     add,
     attention,
     div,
+    feed_forward,
     graph_attention,
     linear,
     masked_select,
@@ -20,7 +21,6 @@ from .tensor import (
     mul,
     no_grad,
     normalize,
-    relu,
     reshape,
     sub,
     sum,
@@ -44,6 +44,7 @@ __all__ = [
     "add",
     "attention",
     "div",
+    "feed_forward",
     "forward_backward",
     "grad_check",
     "graph_attention",
@@ -57,7 +58,6 @@ __all__ = [
     "mul",
     "no_grad",
     "normalize",
-    "relu",
     "reshape",
     "save_checkpoint",
     "sub",

@@ -2,11 +2,12 @@
 
 The primitive set is closed, 15 in all: add, sub, mul, div, matmul,
 linear (a stacked input times one matrix plus an optional bias, as one GEMM),
-transpose, reshape, normalize (zero mean, unit variance over the last axis,
-with an optional affine gain and shift), relu, attention (multi-head
-attention whose softmax is reweighted by a constant decay array),
-graph_attention (a multi-head GAT layer, LeakyReLU included, over the kept
-edges of a constant neighbour mask), sum, mean and masked_select. Every
+feed_forward (linear, ReLU and linear as one node), transpose, reshape,
+normalize (zero mean, unit variance over the last axis, with an optional
+affine gain and shift), attention (multi-head attention with its query, key
+and value projections, whose softmax is reweighted by a constant decay
+array), graph_attention (a multi-head GAT layer, LeakyReLU included, over the
+kept edges of a constant neighbour mask), sum, mean and masked_select. Every
 primitive has an exact vector-Jacobian product, so any composition of them
 has exact gradients; the finite-difference checker in gradcheck.py verifies
 this.
@@ -18,12 +19,15 @@ gradient to it; any other result, and every result made under no_grad, gets
 no node. A vjp keeps only what it reads: a shape, a dtype or a mask, the
 input Tensors whose data its formula uses, or what the node made for its
 vjps, held as a Tensor (attention's row max and sum, graph_attention's edge
-weights). So a Tensor's buffer lives while the caller or some vjp holds
-that Tensor, and no longer: the output of a
-layer that only feeds a residual add, or a pre-activation that `relu`
-reduces to its mask, is freed once the caller drops it. No vjp holds its own
-output or a bare view of a Tensor's buffer, so every live buffer stays
-counted in memory.py and is freed without the cyclic garbage collector.
+weights). What one product of kept inputs gives back is rebuilt rather than
+kept: once per backward, a node's first vjps rebuild attention's q, k, v and
+weights and feed_forward's hidden layer by the forward's own arithmetic,
+hold them as Tensors while its vjps read them and then drop them. So a
+Tensor's buffer lives while the caller or some vjp holds that Tensor, and no
+longer: the output of a layer that only feeds a residual add is freed once
+the caller drops it. No vjp holds its own output or a bare view of a
+Tensor's buffer, so every live buffer stays counted in memory.py and is
+freed without the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -304,6 +308,62 @@ def linear(x, w, b=None) -> Tensor:
     return _result(out.reshape(shape[:-1] + (k,)), parents, vjps)
 
 
+def feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 for a stacked x (..., d), a (d, h) and an
+    (h, k) matrix and their biases, as one node with the arithmetic of
+    linear, relu (a product by the sign mask) and linear, so it equals that
+    chain bitwise. The forward's (rows, h) hidden layer is scratch, counted
+    while it lives. The vjps keep x and the weights, not the hidden layer or
+    its mask: the first of a backward rebuilds the hidden layer by the
+    forward's product as a counted Tensor, takes w2's gradient and the hidden
+    gradient from it and drops it. The hidden gradient, which the vjps of x,
+    w1 and b1 read, is a Tensor freed after the last."""
+    x = _coerce(x)
+    w1, b1, w2, b2 = (_coerce(p, like=x) for p in (w1, b1, w2, b2))
+    shape = x.data.shape
+    if (x.data.ndim < 1 or w1.data.ndim != 2 or w2.data.ndim != 2 or shape[-1] != w1.data.shape[0]
+            or w2.data.shape[0] != w1.data.shape[1] or b1.data.shape != w1.data.shape[1:]
+            or b2.data.shape != w2.data.shape[1:]):
+        raise ShapeError("feed_forward", "need x (..., d), w1 (d, h), b1 (h,), w2 (h, k) and b2 (k,), got "
+                         f"{[p.data.shape for p in (x, w1, b1, w2, b2)]}")
+    d, k = shape[-1], w2.data.shape[1]
+
+    def hidden():  # relu(x w1 + b1) as (rows, h): linear's product and in-place bias, relu's product by the mask
+        z = x.data.reshape(-1, d) @ w1.data
+        z += b1.data
+        z *= z > 0
+        return z
+
+    z = hidden()
+    memory.note_alloc(z.nbytes)
+    out = z @ w2.data
+    out += b2.data
+    memory.note_free(z.nbytes)
+    del z
+    below = [p.requires_grad for p in (x, w1, b1)]  # the vjps that read the hidden gradient
+    users = _grad_enabled and np.count_nonzero(below + [w2.requires_grad])  # vjps that read the rebuild
+    pending = []  # w2's gradient and the hidden gradient as a counted Tensor, one pair per vjp to run
+
+    def rebuilt(g):
+        if not pending:
+            z = Tensor(hidden())
+            g_w2 = z.data.T @ g.reshape(-1, k) if w2.requires_grad else None
+            g_z = None
+            if any(below):  # linear's vjp, then relu's: a product by the sign mask, which z > 0 recovers
+                g_z = g.reshape(-1, k) @ w2.data.T
+                g_z *= z.data > 0
+            del z
+            pending.extend([(g_w2, None if g_z is None else Tensor(g_z))] * users)
+        return pending.pop()
+
+    return _result(out.reshape(shape[:-1] + (k,)), (x, w1, b1, w2, b2), (
+        lambda g: (rebuilt(g)[1].data @ w1.data.T).reshape(shape),
+        lambda g: x.data.reshape(-1, d).T @ rebuilt(g)[1].data,
+        lambda g: rebuilt(g)[1].data.sum(axis=0),
+        lambda g: rebuilt(g)[0],
+        lambda g: g.reshape(-1, k).sum(axis=0)))
+
+
 # shape manipulation --------------------------------------------------------
 
 
@@ -360,12 +420,6 @@ def normalize(a, eps: float, gamma=None, beta=None) -> Tensor:
                                   lambda g: _unbroadcast(g, beta.data.shape))[:len(parents)])
 
 
-def relu(a) -> Tensor:
-    a = _coerce(a)
-    mask = a.data > 0
-    return _result(a.data * mask, (a,), (lambda g: g * mask,))
-
-
 def _row_max(a: np.ndarray) -> np.ndarray:
     """np.max(a, axis=-1, keepdims=True), exactly, by halving passes: a max
     does not depend on order, and over rows as short as a window a few
@@ -379,29 +433,43 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
-    """Multi-head attention under a non-negative constant decay, as one node.
+def attention(q_in, x, wq, bq, wk, wv, bv, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
+    """Multi-head attention with its projections, under a non-negative constant decay, as one node.
 
-    q is (N, S, d) and k, v are (N, T, d). Each is split into `heads` heads
-    of width dk = d / heads; the scores q kᵀ / sqrt(dk) go through the decay
-    softmax y_j = decay_j exp(s_j) / sum_i decay_i exp(s_i) over the T keys,
-    the weights mix the values, and the heads merge back into (N, S, d).
+    The queries q = linear(q_in, wq, bq) are (N, S, d), the keys
+    k = linear(x, wk) and values v = linear(x, wv, bv) are (N, T, d); either
+    bias may be None. Each is split into `heads` heads of width
+    dk = d / heads; the scores q kᵀ / sqrt(dk) go through the decay softmax
+    y_j = decay_j exp(s_j) / sum_i decay_i exp(s_i) over the T keys, the
+    weights mix the values, and the heads merge back into (N, S, d).
     `decay` broadcasts to (N, heads, S, T). Zero-weight keys see -inf before
     the row max, so changing their scores cannot move the surviving weights
     even at the bit level, and they get exactly zero weight and zero
     gradient. Each row needs one positive weight, or it comes out NaN.
 
     Returns the merged output and the (N, heads, S, T) weights, a constant
-    tensor. The softmax runs in place in the scores buffer, which becomes
-    the weights, so the forward holds one (N, heads, S, T) array; the
-    head-mixing products write straight into merged (N, rows, d) arrays.
-    The vjps keep q, k, v and each row's max and sum, (N, heads, S, 2); the
-    first of a backward rebuilds the weights from them, as a Tensor freed
-    after the last, by the forward's own softmax. Its arithmetic is that of
-    the head-split, matmul, scale, softmax, matmul and merge composition, on
-    the same view layouts and in the same order, so results equal it bitwise.
+    tensor. The three projections are `linear` nodes of the graph, so their
+    gradients reach q_in, x and the weights as if the caller had made them;
+    q, k and v themselves are freed when the node returns. The softmax runs
+    in place in the scores buffer, which becomes the weights, so the forward
+    holds one (N, heads, S, T) array; the head-mixing products write straight
+    into merged (N, rows, d) arrays. The vjps keep the projection inputs and
+    each row's max and sum, (N, heads, S, 2). The first of a backward rebuilds
+    q and k by the forward's products and the weights by its softmax, as
+    Tensors freed after the last. The first of the q and k vjps rebuilds v
+    for the (N, heads, S, T) scores gradient, drops it, and hands the
+    gradient to the second as a Tensor. Its arithmetic is that of the three
+    linears and the head-split, matmul, scale, softmax, matmul and merge
+    composition, on the same view layouts and in the same order, so results
+    equal it bitwise.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    q_in, x = _coerce(q_in), _coerce(x)
+
+    def queries_keys():  # q and k by the forward's linear products; v is linear(x, wv, bv)
+        return linear(q_in, wq, bq), linear(x, wk)
+
+    q, k = queries_keys()
+    v = linear(x, wv, bv)
     if (q.data.ndim != 3 or k.data.shape != v.data.shape or k.data.shape[::2] != q.data.shape[::2]
             or q.data.shape[2] % heads):
         raise ShapeError("attention", f"need q (N, S, d) and k, v (N, T, d) with d divisible by "
@@ -421,11 +489,12 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
         return out
 
     decay = np.asarray(decay)
+    hand_on = k.requires_grad  # the q vjp hands its scores gradient on to the k vjp
     users = _grad_enabled and np.count_nonzero([p.requires_grad for p in (q, k, v)])  # vjps backward calls
     stats = Tensor(np.empty((n, heads, s, 2), dtype)) if users else None  # each row's max and sum
 
-    def softmax(fill):  # the weights in a new scores buffer; kept stats get (fill) or give row max and sum
-        y = split(q.data, s) @ split(k.data, t).transpose(0, 1, 3, 2)
+    def softmax(qd, kd, fill):  # the weights in a new scores buffer; kept stats get (fill) or give row max and sum
+        y = split(qd, s) @ split(kd, t).transpose(0, 1, 3, 2)
         y *= scale
         np.copyto(y, dtype.type(-np.inf), where=~(decay > 0))
         if fill:
@@ -439,40 +508,47 @@ def attention(q, k, v, decay: np.ndarray, heads: int) -> tuple[Tensor, Tensor]:
         return y
 
     try:
-        y = softmax(fill=stats is not None)
+        y = softmax(q.data, k.data, fill=stats is not None)
     except ValueError:
         raise ShapeError("attention", f"decay {decay.shape} does not broadcast to "
                                       f"{(n, heads, s, t)}") from None
     out = merged(y, split(v.data, t), s)
-    pending = []  # the rebuilt weights as a counted Tensor, one reference per vjp still to run
-    held = []  # the scores gradient, from the q vjp to the k vjp
+    pending = []  # rebuilt (q, k, weights) as counted Tensors, one reference per vjp still to run
+    held = []  # the scores gradient as a Tensor, from the q vjp to the k vjp
 
-    def rebuilt():
+    def rebuilt():  # the vjps read these, never the forward's q, k and v, which go when the node returns
         if not pending:
-            pending.extend([Tensor(softmax(fill=False))] * users)
+            with no_grad():
+                q_, k_ = queries_keys()
+            pending.extend([(q_, k_, Tensor(softmax(q_.data, k_.data, fill=False)))] * users)
         return pending.pop()
 
-    def scores_grad(g, weights):
+    def scores_grad(g, weights):  # v is rebuilt only here, and dropped before ds is kept
         if held:
             return held.pop()
-        ds = split(g, s) @ split(v.data, t).swapaxes(-1, -2)
+        with no_grad():
+            values = linear(x, wv, bv)
+        ds = split(g, s) @ split(values.data, t).swapaxes(-1, -2)
+        del values
         ds -= (ds * weights.data).sum(axis=-1, keepdims=True)
         ds *= weights.data
         ds *= scale
-        return ds
+        return Tensor(ds)
 
     def grad_q(g):
-        ds = scores_grad(g, rebuilt())
-        if k.requires_grad:
+        _, k_, weights = rebuilt()
+        ds = scores_grad(g, weights)
+        if hand_on:
             held.append(ds)
-        return merged(ds, split(k.data, t), s)
+        return merged(ds.data, split(k_.data, t), s)
 
     def grad_k(g):  # (N, H, dk, T) -> (N, T, d)
-        ds = scores_grad(g, rebuilt())
-        return np.transpose(split(q.data, s).swapaxes(-1, -2) @ ds, (0, 3, 1, 2)).reshape(n, t, d)
+        q_, _, weights = rebuilt()
+        ds = scores_grad(g, weights)
+        return np.transpose(split(q_.data, s).swapaxes(-1, -2) @ ds.data, (0, 3, 1, 2)).reshape(n, t, d)
 
     def grad_v(g):
-        return merged(rebuilt().data.swapaxes(-1, -2), split(g, s), t)
+        return merged(rebuilt()[2].data.swapaxes(-1, -2), split(g, s), t)
 
     return _result(out, (q, k, v), (grad_q, grad_k, grad_v)), Tensor(y)
 

@@ -35,10 +35,7 @@ def test_softmax_attention_toy_loss():
     causal = np.tril(np.exp(-np.subtract.outer(np.arange(4), np.arange(4)) ** 2 / 8.0))
 
     def loss(s):
-        q = tc.matmul(x, s["wq"])
-        k = tc.matmul(x, s["wk"])
-        v = tc.matmul(x, s["wv"])
-        out, _ = tc.attention(q, k, v, causal, 2)
+        out, _ = tc.attention(x, x, s["wq"], None, s["wk"], s["wv"], None, causal, 2)
         return tc.sum(out * out)
 
     report = grad_check(loss, store, eps=1e-5, tol=1e-4)
@@ -89,9 +86,10 @@ def test_randomized_composites_match_fd_over_seeds():
         def loss(s):
             z = tc.matmul(x, s["w1"])
             h = tc.mul(z, np.where(z.data > 0, 1.0, 0.2))  # LeakyReLU, exactly
-            rows = tc.reshape(h, (1, 3, 4))
-            h = tc.reshape(tc.attention(rows, rows, rows, np.ones((3, 3)), 2)[0], (3, 4))
-            out = tc.relu(tc.matmul(h, s["w2"]))
+            rows, eye = tc.reshape(h, (1, 3, 4)), np.eye(4)  # self-attention through exact identity projections
+            h = tc.reshape(tc.attention(rows, rows, eye, None, eye, eye, None, np.ones((3, 3)), 2)[0], (3, 4))
+            z = tc.matmul(h, s["w2"])
+            out = tc.mul(z, z.data > 0)  # ReLU, exactly
             m = tc.mean(h, axis=0)
             return tc.mean(out * out) + tc.sum(tc.normalize(h, 1e-3) * m)
 

@@ -14,7 +14,7 @@ from tcgpn.model import (ModelConfig, adjacency_decoder,
                          gat_forward, gaussian_mask, init_params,
                          positional_table, temporal_decoder, tgm_block)
 from tcgpn.tensorcore import Tensor, memory, no_grad
-from test_tensor import composed_attention
+from test_tensor import composed_attention, composed_feed_forward
 
 
 def tiny_cfg(**over):
@@ -371,8 +371,8 @@ def _whole_universe_forward(x, conn, params, cfg, maps):
     h = h + tc.linear(gat_forward(h, conn, params, cfg), params["proj.weight"], params["proj.bias"])
     for i in range(cfg.tgm_blocks):
         h = tgm_block(h, params, f"enc.block{i}", cfg, gaussian_mask(cfg.window, cfg.sigma_h), maps)
-    inner = tc.relu(tc.linear(h, params["head.fc1.weight"], params["head.fc1.bias"]))
-    merged = tc.linear(inner, params["head.fc2.weight"], params["head.fc2.bias"]) + h
+    merged = tc.feed_forward(h, params["head.fc1.weight"], params["head.fc1.bias"],
+                             params["head.fc2.weight"], params["head.fc2.bias"]) + h
     flat = tc.reshape(merged, (h.shape[0], -1))
     return h, tc.linear(flat, params["head.out.weight"], params["head.out.bias"])
 
@@ -428,17 +428,22 @@ def test_no_grad_paper_width_forward_peak_is_bounded():
     assert memory.peak_bytes() - before <= 9.5e6
 
 
-def test_grad_mode_decay_block_holds_at_most_ten_block_inputs():
-    """At paper width (N=200, kNN k=10, float32) each decay block adds at most
-    10.2 of its (N, T, d) inputs, 31.3 MB, to the counted bytes a pretraining
-    sample's forward leaves for backward. It was 11.875 (36.5 MB) while
-    tc.attention kept its (N, H, T, T) weights rather than each row's max and sum."""
-    n = 200
+def _paper_width_sample(n=200):
+    """A masked pretraining sample at paper width: N nodes, T=30, 4 features, a kNN graph with k=10."""
     rng = np.random.default_rng(0)
     window = data.WindowSample(panel=rng.normal(size=(n, 30, 4)), target=rng.normal(size=n),
                                end_date="2020-01-31", end_index=29, node_ids=[f"N{i}" for i in range(n)])
     graph = graphs.build_distance_graph(SimpleNamespace(features=window.panel, node_ids=window.node_ids), 10)
-    sample = augment.make_masked_sample(window, graph, 0.3, 0.3, seed=1)
+    return augment.make_masked_sample(window, graph, 0.3, 0.3, seed=1)
+
+
+def test_grad_mode_decay_block_holds_at_most_5_2_block_inputs():
+    """At paper width (N=200, kNN k=10, float32) each decay block adds at most
+    5.2 of its (N, T, d) inputs, 16.0 MB, to the counted bytes a pretraining
+    sample's forward leaves for backward. It was 10.125 (31.1 MB) while
+    tc.attention kept q, k and v and the feed-forward its hidden layer, and
+    11.875 (36.5 MB) while tc.attention also kept its (N, H, T, T) weights."""
+    sample = _paper_width_sample()
     held = []
     for blocks in (1, 2):
         cfg = ModelConfig(n_features=4, tgm_blocks=blocks)
@@ -447,8 +452,24 @@ def test_grad_mode_decay_block_holds_at_most_ten_block_inputs():
         kept = train.pretrain_sample_losses(sample, params, cfg, train.TrainConfig(epochs=1))
         held.append(memory.live_bytes() - before)
         del kept
-    unit = n * cfg.window * cfg.d_model * 4  # one float32 (N, T, d) block input, 3.07 MB
-    assert held[1] - held[0] <= 10.2 * unit, (held[1] - held[0]) / unit
+    unit = 200 * cfg.window * cfg.d_model * 4  # one float32 (N, T, d) block input, 3.07 MB
+    assert held[1] - held[0] <= 5.2 * unit, (held[1] - held[0]) / unit
+
+
+def test_paper_width_pretraining_sample_peak_is_bounded():
+    """One pretraining sample at paper width (N=200, d=128, 3 blocks, kNN
+    k=10, float32), forward and backward, peaks at most 88 MB of counted
+    tensors above the start (85.1 MB). It read 128.2 MB while the blocks kept
+    their attention projections and feed-forward hidden layers for backward."""
+    sample = _paper_width_sample()
+    cfg = ModelConfig(n_features=4)
+    params = init_params(cfg, seed=0, dtype=np.float32)
+    memory.reset_peak()
+    before = memory.live_bytes()
+    combined, _, _ = train.pretrain_sample_losses(sample, params, cfg, train.TrainConfig(epochs=1))
+    combined.backward()
+    assert all(t.grad is not None for path, t in params.items() if not path.startswith("head."))
+    assert memory.peak_bytes() - before <= 88e6, (memory.peak_bytes() - before) / 1e6
 
 
 # decoders and head ----------------------------------------------------------------
@@ -535,7 +556,8 @@ ACCEPT_MODEL = dict(n_features=4, d_model=24, gat_heads=2, gat_dim=8, tgm_blocks
 def _compose_affine_primitives(monkeypatch):
     """Route every `tc.linear` and affine `tc.normalize` call back through the
     compositions they fused: a matmul then `+ b`, and normalize then
-    `* gamma + beta`."""
+    `* gamma + beta`. `tc.feed_forward` and `tc.attention` run as their
+    compositions, whose projections go through the composed linear too."""
     linear, normalize = tc.linear, tc.normalize
 
     def composed_linear(x, w, b=None):
@@ -548,6 +570,8 @@ def _compose_affine_primitives(monkeypatch):
 
     monkeypatch.setattr(tc, "linear", composed_linear)
     monkeypatch.setattr(tc, "normalize", composed_normalize)
+    monkeypatch.setattr(tc, "feed_forward", composed_feed_forward)
+    monkeypatch.setattr(tc, "attention", composed_attention)
 
 
 def _run_all_stages(cfg, dtype):
@@ -592,21 +616,22 @@ def _forward_tensor_count(monkeypatch):
 
 def test_pretrain_forward_tensor_count_is_pinned(monkeypatch):
     fused = _forward_tensor_count(monkeypatch)
-    # 15 biased linear layers and 4 layer norms: 15 + 2 * 4 fewer nodes than composed.
-    # The temporal decoder's masked-step gather and scatter add 4 nodes to each: the
-    # one-hot constant, its transpose's gather matmul, and the same for the scatter.
-    # tc.attention counts 3 tensors per block (its output, its weights and the (N, H,
-    # S, 2) row max and sum its vjps keep) where the composition built 14, and the
-    # acceptance model has 2 blocks (1 encoder, 1 decoder): 95 - 11 * 2 = 73. The GAT's
-    # one contiguous time-major copy adds 2 (the copying reshape and its reshape back
-    # to (T, N, d)): 75. tc.graph_attention counts its output, its (T, H, E) edge
-    # weights and each of the 2 heads' dense (T, N, N) scratch while it lives, 4 in
-    # all, where each head's edge softmax and matmul and the head concat made
-    # 2 * 2 + 1 = 5: 74. The node also applies the LeakyReLU and writes node-major,
-    # so no leaky_relu or transpose result follows it: 72. The affine-composed run
-    # keeps tc.attention, so its count rises by the same 2 to 95.
+    # The composed run takes every fused primitive below back to its composition; the
+    # GAT stage, the temporal decoder's gather and scatter and the losses count alike in
+    # both. The acceptance model has 2 decay blocks (1 encoder, 1 decoder).
+    # - tc.attention, per block: its 3 projections, 2 of them biased, make 5 tensors
+    #   composed, and the head-split to head-merge composition 14 more, 19 in all; fused
+    #   it counts 6 (q, k, v, its output, its weights and the (N, H, S, 2) row max and
+    #   sum its vjps keep): 119 - 13 * 2 = 93.
+    # - tc.feed_forward, per block: two biased linears (4) around a ReLU that the oracle
+    #   builds as a product by its constant mask (the mask and the product, 2), 6 in
+    #   all; fused it counts its hidden scratch while it lives and its output, 2:
+    #   93 - 4 * 2 = 85. The linear, relu and linear chain it replaces counted 3, 72 in
+    #   all.
+    # - The 7 other biased linear layers count 1 fused and 2 composed (a matmul, then
+    #   `+ b`), and the 4 layer norms 1 and 3: 85 - 7 - 2 * 4 = 70.
     _compose_affine_primitives(monkeypatch)
-    assert (fused, _forward_tensor_count(monkeypatch)) == (72, 95)
+    assert (fused, _forward_tensor_count(monkeypatch)) == (70, 119)
 
 
 def test_attention_node_matches_its_composition_over_a_whole_sample(monkeypatch):
@@ -618,9 +643,9 @@ def test_attention_node_matches_its_composition_over_a_whole_sample(monkeypatch)
     train_cfg = train.TrainConfig(epochs=1, r_t=0.3, r_g=0.3)
     runs, calls = [], []
 
-    def recorded(q, k, v, decay, heads):
-        calls.append(decay.shape)
-        return composed_attention(q, k, v, decay, heads)
+    def recorded(*args):
+        calls.append(args[-2].shape)  # the decay
+        return composed_attention(*args)
 
     for compose in (False, True):
         with monkeypatch.context() as m:

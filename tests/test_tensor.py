@@ -1,5 +1,6 @@
 """Autodiff primitives: values, exact VJPs, shape errors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -50,6 +51,21 @@ def test_graph_attention_case_probes_both_sides_of_its_leaky_relu():
         assert (head > 0.01).any() and (head < -0.01).any()
 
 
+def _feed_forward_case(t: Tensor) -> list[Tensor]:
+    """x, w1, b1, w2 and b2 of a feed-forward with 2 hidden units, each made
+    from the (2, 3) input, so every vjp is probed."""
+    return [t, tc.reshape(t, (3, 2)), tc.sum(t, axis=1), t, tc.mean(t, axis=0)]
+
+
+def test_feed_forward_case_probes_both_sides_of_its_relu():
+    """The finite-difference case above gives each hidden unit one positive
+    and one negative pre-activation, away from the kink."""
+    x, w1, b1, _, _ = (t.data for t in _feed_forward_case(Tensor(_finite_difference_input())))
+    pre = x @ w1 + b1
+    assert pre.shape == (2, 2)
+    assert np.all((pre > 0.1).any(axis=0)) and np.all((pre < -0.1).any(axis=0))
+
+
 def analytic_grad(op, x: np.ndarray):
     t = Tensor(x.copy(), requires_grad=True)
     loss = op(t)
@@ -88,7 +104,7 @@ def test_shape_mismatch_names_op():
     ("normalize", lambda t: tc.sum(tc.normalize(t, 1e-5) * np.array([1.0, -2.0, 0.5]))),
     ("affine_normalize", lambda t: tc.sum(  # gamma and beta depend on t too, so all three vjps are probed
         tc.normalize(t, 1e-5, tc.mean(t, axis=0), tc.sum(t * t, axis=0)) * np.array([1.0, -2.0, 0.5]))),
-    ("relu", lambda t: tc.sum(tc.relu(t) * tc.relu(t))),
+    ("feed_forward", lambda t: tc.sum(tc.feed_forward(*_feed_forward_case(t)) * np.array([1.0, -2.0, 0.5]))),
     ("softmax", lambda t: tc.sum(_self_attention(t, np.ones((2, 2)), 1) * t)),
     ("attention", lambda t: tc.sum(_self_attention(t, np.array([[1.0, 0.0], [0.5, 1.0]]), 3) * t)),
     ("mean", lambda t: tc.mean(t * t)),
@@ -220,24 +236,110 @@ def test_linear_allocates_one_tensor(monkeypatch):
         assert sizes == [5 * 3 * 6 * 8]
 
 
+def _relu(z: Tensor) -> Tensor:
+    """ReLU as a product with its constant sign mask, which is exact."""
+    return tc.mul(z, z.data > 0)
+
+
+def composed_feed_forward(x, w1, b1, w2, b2) -> Tensor:
+    """Reference: tc.feed_forward as the model built it before, a linear, a
+    ReLU and a linear, with tc.linear looked up per call."""
+    return tc.linear(_relu(tc.linear(x, w1, b1)), w2, b2)
+
+
+def _subsets(size: int):
+    """Every non-empty subset of range(size), as tuples."""
+    return [c for r in range(1, size + 1) for c in itertools.combinations(range(size), r)]
+
+
+def test_feed_forward_equals_its_composition_bitwise():
+    """Output and every gradient, over two backwards, equal those of the
+    linear, ReLU and linear chain bit for bit in float32 and float64, for 2-D
+    and 3-D x and a non-contiguous time-major view, and for every subset of
+    the five inputs that needs a gradient."""
+    rng = np.random.default_rng(33)
+    weights = [rng.normal(size=shape) for shape in ((4, 6), (6,), (6, 5), (5,))]
+    for x in _linear_inputs(rng):
+        upstream = rng.normal(size=x.shape[:-1] + (5,))
+        for dtype in (np.float32, np.float64):
+            arrays = [a.astype(dtype) for a in (x, *weights)]
+            pre = arrays[0] @ arrays[1] + arrays[2]
+            assert (pre > 0.1).any() and (pre < -0.1).any()  # both sides of the ReLU
+            with tc.no_grad():
+                plain = [ff(*[Tensor(a) for a in arrays]).data for ff in (tc.feed_forward, composed_feed_forward)]
+            assert plain[0].dtype == dtype and np.array_equal(*plain)
+            for subset in _subsets(5):
+                results = []
+                for ff in (tc.feed_forward, composed_feed_forward):
+                    inputs = [Tensor(a, requires_grad=i in subset) for i, a in enumerate(arrays)]
+                    out = ff(*inputs)
+                    loss = tc.sum(out * upstream.astype(dtype))
+                    loss.backward()
+                    first = [None if t.grad is None else t.grad.copy() for t in inputs]
+                    loss.backward()
+                    results.append([out.data, *first, *[t.grad for t in inputs]])
+                for fused, composed in zip(*results):
+                    assert (fused is None) == (composed is None), (x.shape, dtype, subset)
+                    assert fused is None or (fused.dtype == dtype and np.array_equal(fused, composed)), subset
+
+
+def test_feed_forward_keeps_its_input_not_the_hidden_layer_counted():
+    """The node keeps x and the weights, not the (rows, h) hidden layer: the
+    forward counts it only while it lives, under no_grad too, and backward
+    rebuilds it as a counted Tensor that goes once the hidden gradient, a
+    counted Tensor freed after the last vjp, takes its place."""
+    rng = np.random.default_rng(34)
+    x, w1, b1, w2, b2 = (Tensor(rng.normal(size=shape), requires_grad=True)
+                         for shape in ((3, 5, 4), (4, 6), (6,), (6, 5), (5,)))
+    hidden = 3 * 5 * 6 * 8  # above the (3, 5, 5) output, which is counted once the hidden layer is gone
+    before = memory.live_bytes()
+    for grad in (False, True):
+        memory.reset_peak()
+        if grad:
+            out = tc.feed_forward(x, w1, b1, w2, b2)
+        else:
+            with tc.no_grad():
+                out = tc.feed_forward(x, w1, b1, w2, b2)
+        assert memory.peak_bytes() - before == hidden
+        assert memory.live_bytes() - before == out.data.nbytes
+        if not grad:
+            del out
+    loss = tc.sum(out)
+    memory.reset_peak()
+    loss.backward()
+    assert x.grad.shape == x.shape and w2.grad.shape == (6, 5)
+    assert memory.peak_bytes() - before == out.data.nbytes + loss.data.nbytes + hidden  # rebuilt
+    assert memory.live_bytes() - before == out.data.nbytes + loss.data.nbytes
+
+
+def test_feed_forward_rejects_mismatched_shapes():
+    x = Tensor(np.ones((2, 3, 4)))
+    good = [np.ones((4, 6)), np.ones(6), np.ones((6, 5)), np.ones(5)]
+    assert tc.feed_forward(x, *good).shape == (2, 3, 5)
+    for i, bad in ((0, np.ones((5, 6))), (0, np.ones(4)), (1, np.ones(5)), (2, np.ones((5, 5))), (3, np.ones(6))):
+        with pytest.raises(ShapeError, match="feed_forward"):
+            tc.feed_forward(x, *good[:i], bad, *good[i + 1:])
+
+
 def _self_attention(t: Tensor, decay: np.ndarray, heads: int) -> Tensor:
-    """tc.attention of a (2, 3) tensor over itself as one node's (S=T=2, d=3) rows."""
-    rows = tc.reshape(t, (1, 2, 3))
-    return tc.reshape(tc.attention(rows, rows, rows, decay, heads)[0], (2, 3))
+    """tc.attention of a (2, 3) tensor over itself as one node's (S=T=2, d=3)
+    rows, through identity projections, which are exact."""
+    rows, eye = tc.reshape(t, (1, 2, 3)), np.eye(3)
+    return tc.reshape(tc.attention(rows, rows, eye, None, eye, eye, None, decay, heads)[0], (2, 3))
 
 
 def test_decay_softmax_and_masked_select_route_gradients():
     rng = np.random.default_rng(13)
-    q = Tensor(rng.normal(size=(1, 2, 4)), requires_grad=True)
-    k = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
-    v = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    q_in = Tensor(rng.normal(size=(1, 2, 4)), requires_grad=True)
+    x = Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    wq, wk, wv = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
     decay = np.array([[0.5, 0.0, 2.0], [1.0, 0.0, 0.0]])  # key 1 has zero weight in every row
-    out, weights = tc.attention(q, k, v, decay, 2)
+    out, weights = tc.attention(q_in, x, wq, None, wk, wv, None, decay, 2)
     tc.sum(out * rng.normal(size=out.shape)).backward()
     assert np.all(weights.data[..., decay == 0] == 0.0)
-    for grad in (k.grad, v.grad):  # exactly zero, not rounding noise
-        assert np.all(grad[:, 1] == 0.0) and np.all(grad[:, [0, 2]] != 0.0)
-    assert np.all(q.grad[:, 0] != 0.0)
+    # exactly zero, not rounding noise: step 1 of x makes only key 1 and its value
+    assert np.all(x.grad[:, 1] == 0.0) and np.all(x.grad[:, [0, 2]] != 0.0)
+    assert np.all(q_in.grad[:, 0] != 0.0)
 
     x = Tensor(np.array([[1.0, -2.0, 0.5], [3.0, 4.0, -1.0]]), requires_grad=True)
     mask = np.array([[True, False, True], [False, True, True]])
@@ -249,8 +351,10 @@ def test_decay_softmax_and_masked_select_route_gradients():
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
     for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
-        q, k = (Tensor(rng.normal(size=(2, m, 6)).astype(dtype) * 10) for m in (5, 7))
-        out, weights = tc.attention(q, k, Tensor(np.ones((2, 7, 6), dtype=dtype)), np.ones((5, 7)), 3)
+        q_in, x = (Tensor(rng.normal(size=(2, m, 6)).astype(dtype) * 10) for m in (5, 7))
+        eye, ones = np.eye(6, dtype=dtype), np.ones(6, dtype=dtype)
+        # q = q_in and k = x through identity projections; v = x 0 + 1 is all ones
+        out, weights = tc.attention(q_in, x, eye, None, eye, 0 * eye, ones, np.ones((5, 7)), 3)
         assert weights.shape == (2, 3, 5, 7) and weights.data.dtype == dtype
         assert np.allclose(weights.data.sum(axis=-1), 1.0, atol=tol)
         assert np.allclose(out.data, 1.0, atol=tol)  # each row averages all-ones values
@@ -283,10 +387,12 @@ def _six_node_decay_softmax(scores: Tensor, decay: np.ndarray) -> Tensor:
     return num / den
 
 
-def composed_attention(q, k, v, decay: np.ndarray, heads: int, softmax=_decay_softmax_node):
+def composed_attention(q_in, x, wq, bq, wk, wv, bv, decay: np.ndarray, heads: int, softmax=_decay_softmax_node):
     """Reference: tc.attention composed from single-purpose nodes, as the
-    model built it before: head splits, key transpose, matmul, scale,
-    decay softmax, matmul and the head merge."""
+    model built it before: the query, key and value projections by tc.linear
+    (looked up per call), head splits, key transpose, matmul, scale, decay
+    softmax, matmul and the head merge."""
+    q, k, v = tc.linear(q_in, wq, bq), tc.linear(x, wk), tc.linear(x, wv, bv)
     n, s, d = q.shape
     dk = d // heads
 
@@ -311,7 +417,17 @@ def _attention_cases(rng):
 
 
 def _attention_inputs(rng, n, s, t, d, dtype):
-    return [(rng.normal(size=shape) * 2).astype(dtype) for shape in ((n, s, d), (n, t, d), (n, t, d))]
+    """q_in (N, S, d), x (N, T, d), wq, bq, wk, wv and bv: q, k and v come out
+    about as large as 2 N(0, 1) entries."""
+    inputs = [rng.normal(size=shape) * 2 for shape in ((n, s, d), (n, t, d))]
+    wq, bq, wk, wv, bv = (rng.normal(size=shape) / math.sqrt(len(shape) * d)
+                          for shape in ((d, d), (d,), (d, d), (d, d), (d,)))
+    return [a.astype(dtype) for a in (*inputs, wq, bq, wk, wv, bv)]
+
+
+def _attention_args(inputs, s, t):
+    """tc.attention's seven inputs; with S = T the queries come from x, as in an encoder block."""
+    return [inputs[1], *inputs[1:]] if s == t else list(inputs)
 
 
 def test_attention_equals_its_composition_bitwise():
@@ -322,10 +438,10 @@ def test_attention_equals_its_composition_bitwise():
             upstream = rng.normal(size=(n, s, d)).astype(dtype)
             results = []
             for attention in (tc.attention, composed_attention):
-                inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-                out, weights = attention(*inputs, decay, heads)
+                args = _attention_args([Tensor(a.copy(), requires_grad=True) for a in arrays], s, t)
+                out, weights = attention(*args, decay, heads)
                 tc.sum(out * upstream).backward()
-                results.append([out.data, weights.data] + [x.grad for x in inputs])
+                results.append([out.data, weights.data] + [x.grad for x in args])
             assert results[0][0].dtype == dtype and results[0][1].shape == (n, heads, s, t)
             for fused, composed in zip(*results):
                 assert fused.shape == composed.shape and np.array_equal(fused, composed), (s, t, dtype)
@@ -335,34 +451,35 @@ def test_decay_softmax_equals_six_node_composition():
     rng = np.random.default_rng(22)
     for n, s, t, d, heads, decay in _attention_cases(rng):
         for dtype in (np.float32, np.float64):
-            inputs = [Tensor(a) for a in _attention_inputs(rng, n, s, t, d, dtype)]
-            fused, weights = tc.attention(*inputs, decay, heads)
-            six_node, six_node_weights = composed_attention(*inputs, decay, heads, _six_node_decay_softmax)
+            args = _attention_args([Tensor(a) for a in _attention_inputs(rng, n, s, t, d, dtype)], s, t)
+            fused, weights = tc.attention(*args, decay, heads)
+            six_node, six_node_weights = composed_attention(*args, decay, heads, _six_node_decay_softmax)
             assert np.array_equal(fused.data, six_node.data) and np.array_equal(weights.data, six_node_weights.data)
 
         arrays = _attention_inputs(rng, n, s, t, d, np.float64)
         upstream = rng.normal(size=(n, s, d))
         grads = []
         for attention in (tc.attention, lambda *a: composed_attention(*a, _six_node_decay_softmax)):
-            inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            tc.sum(attention(*inputs, decay, heads)[0] * upstream).backward()
-            grads.append([x.grad for x in inputs])
+            args = _attention_args([Tensor(a.copy(), requires_grad=True) for a in arrays], s, t)
+            tc.sum(attention(*args, decay, heads)[0] * upstream).backward()
+            grads.append([x.grad for x in args])
         for fused, composed in zip(*grads):
             assert np.abs(fused - composed).max() < 1e-12
 
 
 def test_decay_softmax_zero_weight_scores_cannot_move_output():
-    """Moving the last step's key and value (zero weight for every earlier
-    query step) leaves those rows bit for bit as they were."""
+    """Moving the last step of x, and with it that step's key and value (zero
+    weight for every earlier query step), leaves those rows bit for bit as
+    they were."""
     rng = np.random.default_rng(23)
     for n, s, t, d, heads, decay in _attention_cases(rng):
-        q, k, v = _attention_inputs(rng, n, s, t, d, np.float32)
-        base, weights = tc.attention(Tensor(q), Tensor(k), Tensor(v), decay, heads)
+        q_in, x, *projections = _attention_inputs(rng, n, s, t, d, np.float32)
+        projections = [Tensor(a) for a in projections]
+        base, weights = tc.attention(Tensor(q_in), Tensor(x), *projections, decay, heads)
         rows = np.broadcast_to(decay, weights.shape)[..., -1] == 0  # (N, H, S) query rows before step T-1
-        moved_k, moved_v = k.copy(), v.copy()
-        moved_k[:, -1] += rng.normal(0, 100, size=(n, d)).astype(np.float32)
-        moved_v[:, -1] += rng.normal(0, 100, size=(n, d)).astype(np.float32)
-        out = tc.attention(Tensor(q), Tensor(moved_k), Tensor(moved_v), decay, heads)[0]
+        moved = x.copy()
+        moved[:, -1] += rng.normal(0, 100, size=(n, d)).astype(np.float32)
+        out = tc.attention(Tensor(q_in), Tensor(moved), *projections, decay, heads)[0]
         unmoved = rows.all(axis=1)  # (N, S): no head gives the last step weight
         assert unmoved.any() and not unmoved.all()
         assert np.all(weights.data[..., -1][rows] == 0.0)
@@ -371,13 +488,16 @@ def test_decay_softmax_zero_weight_scores_cannot_move_output():
 
 
 def test_attention_keeps_row_stats_not_weights_counted():
-    """The node keeps each row's softmax max and sum, not the weights: those
-    are rebuilt in backward as a counted Tensor, freed after the last vjp."""
+    """The node keeps its inputs and each row's softmax max and sum, not q,
+    k, v or the weights: those are rebuilt in backward as counted Tensors,
+    v only until the scores gradient the q vjp hands to the k vjp is made,
+    and all are freed after the last vjp."""
     rng = np.random.default_rng(26)
-    q, k, v = (Tensor(a, requires_grad=True) for a in _attention_inputs(rng, 3, 4, 6, 8, np.float64))
+    inputs = [Tensor(a, requires_grad=True) for a in _attention_inputs(rng, 3, 4, 6, 8, np.float64)]
     before = memory.live_bytes()
-    out, weights = tc.attention(q, k, v, np.ones((4, 6)), 2)
+    out, weights = tc.attention(*inputs, np.ones((4, 6)), 2)
     held, stats = 3 * 2 * 4 * 6 * 8, 3 * 2 * 4 * 2 * 8  # (N, H, S, T) weights, (N, H, S, 2) max and sum
+    q_bytes, kv_bytes = 3 * 4 * 8 * 8, 3 * 6 * 8 * 8  # q (N, S, d); k and v (N, T, d)
     assert weights.data.nbytes == held
     assert memory.live_bytes() - before == out.data.nbytes + held + stats
     del weights  # the caller's copy goes, and nothing else holds them
@@ -385,17 +505,19 @@ def test_attention_keeps_row_stats_not_weights_counted():
     loss = tc.sum(out)
     memory.reset_peak()
     loss.backward()
-    assert q.grad.shape == (3, 4, 8) and k.grad.shape == v.grad.shape == (3, 6, 8)
-    assert memory.peak_bytes() - before == out.data.nbytes + stats + loss.data.nbytes + held  # rebuilt
+    assert inputs[0].grad.shape == (3, 4, 8) and inputs[1].grad.shape == (3, 6, 8)
+    # rebuilt q, k and weights, and v until the scores gradient takes its place
+    rebuilt = q_bytes + kv_bytes + held + max(kv_bytes, held)
+    assert memory.peak_bytes() - before == out.data.nbytes + stats + loss.data.nbytes + rebuilt
     assert memory.live_bytes() - before == out.data.nbytes + stats + loss.data.nbytes
     del out, loss
     assert memory.live_bytes() == before
 
 
 def test_attention_backward_repeats_and_serves_any_input_subset():
-    """The vjps share one rebuilt set of weights per backward. A second
-    backward adds the same gradients again, and every subset of q, k and v
-    that needs a gradient gets the gradients it gets when all three do."""
+    """The vjps share one rebuild per backward. A second backward gives the
+    same gradients again, and every subset of the seven inputs that needs a
+    gradient gets the gradients it gets when all of them do."""
     rng = np.random.default_rng(30)
     for n, s, t, d, heads, decay in _attention_cases(rng):
         arrays = _attention_inputs(rng, n, s, t, d, np.float64)
@@ -403,11 +525,13 @@ def test_attention_backward_repeats_and_serves_any_input_subset():
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
         loss = tc.sum(tc.attention(*inputs, decay, heads)[0] * upstream)
         loss.backward()
-        first = [x.grad.copy() for x in inputs]
+        first = [x.grad for x in inputs]
+        for x in inputs:  # x gets two contributions, so 2 * grad would not be exact
+            x.grad = None
         loss.backward()
         for x, grad in zip(inputs, first):
-            assert np.array_equal(x.grad, 2 * grad)
-        for subset in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
+            assert np.array_equal(x.grad, grad)
+        for subset in _subsets(7)[:-1]:
             some = [Tensor(a, requires_grad=i in subset) for i, a in enumerate(arrays)]
             tc.sum(tc.attention(*some, decay, heads)[0] * upstream).backward()
             for i, x in enumerate(some):
@@ -416,53 +540,57 @@ def test_attention_backward_repeats_and_serves_any_input_subset():
 
 def test_attention_rebuilds_paper_width_weights_bitwise():
     """At paper width (N=200, T=30, d=128, 8 heads, float32, the encoder's
-    decay) the output and the q, k, v gradients equal the composition's bit
-    for bit over two backwards, so the rebuilt weights are the forward's."""
+    decay, queries from x) the output and the gradients of x and of every
+    projection weight and bias equal the composition's bit for bit over two
+    backwards, so the rebuilt q, k, v and weights are the forward's."""
     n, t, d, heads = 200, 30, 128, 8
     rng = np.random.default_rng(32)
     arrays = _attention_inputs(rng, n, t, t, d, np.float32)
     upstream = rng.normal(size=(n, t, d)).astype(np.float32)
     results = []
     for attention in (tc.attention, composed_attention):
-        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        out = attention(*inputs, gaussian_mask(t, t / 4), heads)[0]
+        args = _attention_args([Tensor(a.copy(), requires_grad=True) for a in arrays], t, t)
+        out = attention(*args, gaussian_mask(t, t / 4), heads)[0]
         loss = tc.sum(out * upstream)
         loss.backward()
-        grads = [x.grad.copy() for x in inputs]
+        grads = [x.grad.copy() for x in args[1:]]
         loss.backward()
-        results.append([out.data, *grads, *[x.grad for x in inputs]])
+        results.append([out.data, *grads, *[x.grad for x in args[1:]]])
     for fused, composed in zip(*results):
         assert fused.dtype == np.float32 and np.array_equal(fused, composed)
 
 
 def test_attention_forward_keeps_one_copy_of_the_scores():
     """Under no_grad the decay mask and softmax run in place in the scores
-    buffer, which becomes the weights: no second (N, H, S, T) array."""
+    buffer, which becomes the weights: besides q, k and v, no second
+    (N, H, S, T) array."""
     import tracemalloc
     rng = np.random.default_rng(27)
-    q, k, v = (Tensor(a) for a in _attention_inputs(rng, 50, 30, 30, 32, np.float64))
+    inputs = [Tensor(a) for a in _attention_inputs(rng, 50, 30, 30, 32, np.float64)]
+    projections = 3 * inputs[0].data.nbytes  # q, k and v, each (N, T, d)
     decay = np.tril(np.ones((30, 30)))
     tracemalloc.start()
     try:
         with tc.no_grad():
-            out, weights = tc.attention(q, k, v, decay, 4)
+            out, weights = tc.attention(*inputs, decay, 4)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert weights.shape == (50, 4, 30, 30) and out.shape == (50, 30, 32)
-    assert peak < 2 * weights.data.nbytes, peak / weights.data.nbytes
+    assert peak - projections < 2 * weights.data.nbytes, (peak - projections) / weights.data.nbytes
 
 
 def test_attention_rejects_mismatched_shapes():
-    with pytest.raises(ShapeError, match="attention"):
-        tc.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 6))),
-                     np.ones((3, 5)), 2)
+    q_in, x = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4)))
+    w = np.ones((4, 4))
+    with pytest.raises(ShapeError, match="attention"):  # values 6 wide, keys 4
+        tc.attention(q_in, x, w, None, w, np.ones((4, 6)), None, np.ones((3, 5)), 2)
     with pytest.raises(ShapeError, match="attention"):  # d = 4 does not split into 3 heads
-        tc.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 4))),
-                     np.ones((3, 5)), 3)
+        tc.attention(q_in, x, w, None, w, w, None, np.ones((3, 5)), 3)
     with pytest.raises(ShapeError, match="attention"):
-        tc.attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4))), Tensor(np.ones((2, 5, 4))),
-                     np.ones((5, 3)), 2)
+        tc.attention(q_in, x, w, None, w, w, None, np.ones((5, 3)), 2)
+    with pytest.raises(ShapeError, match="attention"):  # queries for 3 nodes, keys for 2
+        tc.attention(Tensor(np.ones((3, 3, 4))), x, w, None, w, w, None, np.ones((3, 5)), 2)
 
 
 def _leaky_relu(z: Tensor, slope: float) -> Tensor:
@@ -651,7 +779,7 @@ def test_module_docstring_lists_the_exported_primitives():
     count, listed = re.search(r"closed, (\d+) in all: (.*?)\. ", doc).groups()
     names = [name.strip() for name in re.split(r",|\band\b", listed)]
     assert sorted(names) == sorted(exported) and int(count) == len(names) == 15
-    assert not hasattr(tc, "leaky_relu")
+    assert not hasattr(tc, "leaky_relu") and not hasattr(tc, "relu")
 
 
 def test_graph_attention_rejects_row_without_kept_entry():
@@ -760,7 +888,7 @@ def test_dropped_pre_activation_leaves_live_bytes_with_unchanged_grads():
     for drop in (False, True):
         x, w = Tensor(raw_x.copy(), requires_grad=True), Tensor(raw_w.copy(), requires_grad=True)
         pre = tc.linear(x, w)
-        out = tc.relu(pre)
+        out = _relu(pre)
         if drop:
             gc.disable()  # the buffer must go by reference counting alone
             try:
